@@ -35,12 +35,16 @@ test-cache:
 test-cache-store:
 	$(PYTHON) -m pytest tests/api/test_cache_store.py tests/serve/test_serve_cache.py -q
 
-## Fault-injection suite: structured per-request failures (on_error="collect"),
-## timeouts, retries with deterministic seeded backoff, worker-crash
-## isolation, determinism-under-failure (faulted siblings never perturb clean
-## results), and disk-tier failure simulation always degrading to a miss.
+## Fault-injection and batch-runner suite: structured per-request failures
+## (on_error="collect"), timeouts, retries with deterministic seeded backoff,
+## worker-crash isolation, determinism-under-failure (faulted siblings never
+## perturb clean results), disk-tier failure simulation always degrading to a
+## miss, plus the contracts the one attempt loop owns for both transports:
+## result order, worker-count bit-identity, raw-error propagation and a
+## request-ordered trace with the same span shape on every transport.
 test-faults:
-	$(PYTHON) -m pytest tests/api/test_faults.py tests/api/test_batch_failures.py -q
+	$(PYTHON) -m pytest tests/api/test_faults.py tests/api/test_batch_failures.py \
+		tests/api/test_batch.py tests/obs/test_trace_propagation.py -q
 
 ## Compile-service suite: queue ordering/backpressure, wire codecs and error
 ## mapping, handler-level service semantics (coalescing, jobs, drain, fault

@@ -1,4 +1,4 @@
-"""Parallel batch driver: fan a list of compile requests across processes.
+"""Batch driver: compile a list of requests through one attempt loop.
 
 :func:`compile_many` is the harness-facing entry point for routing many
 circuits.  Results are bit-for-bit identical to running
@@ -9,59 +9,66 @@ Result order always matches request order regardless of worker scheduling.
 
 The driver is cache-aware: requests are fingerprinted up front and partitioned
 into hits and misses against the content-addressed cache
-(:mod:`repro.api.cache`), only the misses fan out across workers, and the
-miss results are stored back in the parent process (worker processes never
-own a cache, so nothing is populated into fork-copied stores that die with
-the pool).  Hits slot back into their original positions, so a warm-cache
-batch is positionally and bit-for-bit identical to a cold serial run.
+(:mod:`repro.api.cache`), only the misses are scheduled, and the miss results
+are stored back in the parent process (worker processes never own a cache,
+so nothing is populated into fork-copied stores that die with them).  Hits
+slot back into their original positions, so a warm-cache batch is
+positionally and bit-for-bit identical to a cold serial run.
 
-The driver is also fault-tolerant.  Under ``on_error="collect"`` a failing
-request is recorded as a structured :class:`~repro.api.result.CompileError`
-in its original batch slot instead of aborting its siblings; ``timeout``
-bounds each request's wall-clock per attempt, ``retries`` re-runs failed
-attempts on a deterministic seeded backoff schedule
+Every miss goes through one attempt loop, which owns the failure contract:
+under ``on_error="collect"`` a failing request is recorded as a structured
+:class:`~repro.api.result.CompileError` in its original batch slot instead
+of aborting its siblings; ``retries`` re-runs failed attempts on a
+deterministic seeded backoff schedule
 (:func:`~repro.api.faults.deterministic_backoff` -- a pure function of the
-request fingerprint and attempt number, never wall-clock jitter), and a
-worker process that crashes or hangs is reaped and its request retried or
-recorded as failed while every sibling's result stays bit-for-bit identical
-to a clean serial run.  The :class:`~repro.api.faults.FaultPlan` harness
-injects exceptions, delays, worker kills and cache corruption at
-deterministic (fingerprint, attempt) points so every one of those recovery
-paths is testable and replayable.
+request fingerprint and attempt number, never wall-clock jitter); and every
+attempt runs under a ``request`` span carrying its ``index`` and
+``attempt``.  The :class:`~repro.api.faults.FaultPlan` harness injects
+exceptions, delays, worker kills and cache corruption at deterministic
+(fingerprint, attempt) points so every recovery path is testable and
+replayable.
 
-Execution strategy: a clean batch (no timeout, no retries, no fault plan,
-``on_error="raise"``) runs exactly as before -- serial in-process for one
-worker, a ``fork``-based :class:`~concurrent.futures.ProcessPoolExecutor`
-otherwise (workers inherit the warm interpreter instead of re-importing the
-package).  Once fault tolerance is engaged, requests that need *isolation*
-(a wall-clock timeout or a kill fault can only be enforced on a separate
-process) run one attempt per forked child with a result pipe; everything
-else runs in-process with exception capture.  Either way the computation per
-request is the same pure function, so worker count and scheduling never
-change the bits.
+The loop hands each attempt to one of two transports:
+
+* the **inline** transport runs it in the calling process.  It serves
+  batches that need one worker, no ``timeout`` and no kill faults;
+* the **process** transport keeps ``pool_size`` long-lived forked workers
+  (they inherit the warm interpreter instead of re-importing the package),
+  each serving one attempt at a time over a pipe.  The loop sleeps on the
+  worker pipes and process sentinels until the nearest deadline or backoff
+  end.  A worker that overruns ``timeout`` or dies is terminated, reaped and
+  replaced, so a hung or killed request never touches its siblings.
+
+Either transport records each attempt into a child tracer, and the loop
+stitches the fragments back in request order, so a traced batch has the
+same span sequence for every transport and worker count.
 """
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing
 import os
+import pickle
 import time
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
+from multiprocessing.connection import wait as wait_for_ready
+from typing import Iterable, NamedTuple
 
-from repro.api.pipeline import compile_uncached as _compile
-from repro.api.pipeline import _cache_fault_window
+from repro.api.faults import FaultPlan, deterministic_backoff
+from repro.api.pipeline import _cache_fault_window, run_attempt
 from repro.api.request import CompileRequest
 from repro.api.result import BatchResult, CompileError, CompileResult
-from repro.obs.trace import Tracer, current_tracer, use_tracer
+from repro.obs.trace import (
+    NULL_TRACER,
+    TraceContext,
+    Tracer,
+    current_tracer,
+    use_tracer,
+)
 
 #: Recognised per-request failure policies.
 ON_ERROR_POLICIES = ("raise", "collect")
-
-#: Poll interval of the isolated-attempt scheduler (seconds).
-_POLL_SECONDS = 0.02
 
 
 def default_workers() -> int:
@@ -121,314 +128,286 @@ def _check_batch_options(workers, timeout, retries, backoff, on_error) -> tuple:
     return workers, timeout, retries, backoff
 
 
-def _compile_traced(payload):
-    """Pool worker body under tracing: compile one miss, ship its spans home.
+class _Done(NamedTuple):
+    """One finished attempt, as a transport hands it back to the loop."""
 
-    ``payload`` is ``(request, batch index, TraceContext)``.  The worker
-    records into a private child tracer (its request span parents under the
-    batch span named by the context) and returns ``(result, spans,
-    counters)`` -- everything picklable -- so the parent can stitch the
-    fragment back into the one batch trace.
-    """
-    request, index, ctx = payload
-    tracer = Tracer(context=ctx)
-    with use_tracer(tracer), tracer.span("request", index=index):
-        result = _compile(request)
-    return result, tracer.spans, tracer.counters
+    index: int
+    attempt: int
+    #: The attempt's result, or its structured failure.
+    value: CompileResult | CompileError
+    #: The request's own exception, for the raw-error contract (``None`` for
+    #: successes, crashes and timeouts).
+    raw: BaseException | None = None
+    #: ``(spans, counters)`` the attempt recorded, when tracing.
+    trace: tuple | None = None
+
+
+@dataclass(frozen=True)
+class _Work:
+    """What every attempt of one batch needs; forked workers inherit it."""
+
+    requests: list
+    fingerprints: list  # content addresses, or ``None`` where not computed
+    plan: FaultPlan | None
+    trace_ctx: TraceContext | None  # ``None`` when the batch is not traced
+
+    def serve(self, index: int, attempt: int, in_worker: bool) -> _Done:
+        """Run one attempt under its ``request`` span, in a child tracer.
+
+        Never raises: a failure comes back as a structured
+        :class:`CompileError` plus the request's own exception.
+        """
+        traced = self.trace_ctx is not None
+        tracer = Tracer(context=self.trace_ctx) if traced else NULL_TRACER
+        raw = None
+        with use_tracer(tracer):
+            try:
+                with tracer.span("request", index=index, attempt=attempt):
+                    value = run_attempt(
+                        self.requests[index],
+                        self.plan,
+                        self.fingerprints[index],
+                        index,
+                        attempt,
+                        in_worker,
+                    )
+            except Exception as exc:
+                value = CompileError.from_exception(exc, attempts=attempt + 1)
+                raw = exc
+        trace = (tracer.spans, tracer.counters) if traced else None
+        return _Done(index, attempt, value, raw, trace)
 
 
 # ---------------------------------------------------------------------------
-# Isolated attempt execution (one forked child per attempt)
+# Transports: ``start`` an attempt, ``wait`` for finished ones, ``close``
 # ---------------------------------------------------------------------------
 
 
-def _attempt_child(
-    conn, request, plan, fingerprint, index, attempt, trace_ctx=None
-) -> None:
-    """Worker body: run one attempt, send ``("ok", result)`` or ``("error", e)``.
+class _InlineTransport:
+    """Runs each attempt in the calling process, one at a time."""
 
-    Runs in a forked child.  A ``kill`` fault hard-exits before anything is
-    sent; the parent observes the closed pipe / dead process and records a
-    worker crash.  Every exception -- injected or organic -- is reduced to a
-    picklable structured :class:`CompileError` (the request itself is
-    re-attached by the parent, so worker payloads stay small).
+    size = 1
 
-    Under tracing (``trace_ctx`` set) the message grows a third element,
-    ``(spans, counters)``, stitched back by the parent -- including on
-    errors, where the partial trace shows which pass died.
+    def __init__(self, work: _Work):
+        self.work = work
+        self.finished: list[_Done] = []
+
+    def start(self, index: int, attempt: int) -> None:
+        self.finished.append(self.work.serve(index, attempt, in_worker=False))
+
+    def wait(self, until: float | None) -> list[_Done]:
+        if not self.finished and until is not None:
+            time.sleep(max(0.0, until - time.monotonic()))
+        finished, self.finished = self.finished, []
+        return finished
+
+    def close(self) -> None:
+        pass
+
+
+def _worker_main(conn, parent_end, work: _Work) -> None:
+    """Body of one persistent worker: serve ``(index, attempt)`` jobs until EOF.
+
+    The request's own exception travels pickled next to its structured
+    :class:`CompileError` (``None`` when it does not pickle).  A ``kill``
+    fault hard-exits; the parent sees the dead process and records a crash.
     """
-    try:
-        tracer = Tracer(context=trace_ctx) if trace_ctx is not None else None
-
-        def _trace_payload() -> tuple:
-            if tracer is None:
-                return ()
-            return ((tracer.spans, tracer.counters),)
-
+    parent_end.close()  # so a parent that dies without a goodbye reads as EOF
+    while True:
         try:
-            if plan is not None:
-                from repro.api.faults import apply_execution_faults
-
-                apply_execution_faults(
-                    plan, fingerprint, index, attempt, in_worker=True
-                )
-            if tracer is not None:
-                with use_tracer(tracer), tracer.span(
-                    "request", index=index, attempt=attempt
-                ):
-                    result = _compile(request)
-            else:
-                result = _compile(request)
-            conn.send(("ok", result) + _trace_payload())
-        except BaseException as exc:
-            conn.send(
-                ("error", CompileError.from_exception(exc, attempts=attempt + 1))
-                + _trace_payload()
-            )
-    except BaseException:
-        # The pipe itself failed (parent gone, unpicklable payload...): exit
-        # nonzero so the parent's crash detection still classifies us.
-        os._exit(1)
-    finally:
-        conn.close()
+            index, attempt = conn.recv()
+        except EOFError:
+            return
+        done = work.serve(index, attempt, in_worker=True)
+        try:
+            raw = None if done.raw is None else pickle.dumps(done.raw)
+        except Exception:
+            raw = None
+        conn.send(done._replace(raw=raw))
 
 
 @dataclass
-class _Job:
-    """One scheduled attempt waiting to start."""
-
-    index: int
-    attempt: int
-    ready_at: float  # monotonic time before which the attempt must not start
-
-
-@dataclass
-class _Running:
-    """One in-flight isolated attempt."""
-
-    index: int
-    attempt: int
+class _Worker:
     process: object
     conn: object
-    deadline: float | None
+    job: tuple[int, int] = (0, 0)
+    deadline: float | None = None  # monotonic time the running attempt must end by
 
 
-class _FaultTolerantRunner:
-    """Shared attempt/retry bookkeeping for both execution modes."""
+class _ProcessTransport:
+    """``size`` long-lived forked workers, each serving one attempt at a time."""
 
-    def __init__(
-        self,
-        requests,
-        fingerprints,
-        *,
-        timeout,
-        retries,
-        backoff,
-        plan,
-        on_error,
-        collect,
-    ):
-        self.requests = requests
-        self.fingerprints = fingerprints
+    def __init__(self, size: int, timeout: float | None, work: _Work):
+        self.size = size
         self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.plan = plan
-        self.on_error = on_error
-        self.collect = collect  # callback(index, result) for successes
-        self.tracer = current_tracer()
-        self.trace_ctx = self.tracer.context() if self.tracer.enabled else None
+        self.work = work
+        self.context = _mp_context()
+        self.idle: list[_Worker] = []
+        self.busy: list[_Worker] = []
 
-    def _seed_key(self, index: int) -> str:
-        # Backoff is seeded on the request's content address where known
-        # (stable across runs and batch positions), else its batch index.
-        return self.fingerprints[index] or f"request-{index}"
-
-    def _backoff_seconds(self, index: int, attempt: int) -> float:
-        from repro.api.faults import deterministic_backoff
-
-        return deterministic_backoff(self._seed_key(index), attempt, self.backoff)
-
-    def _finalize_failure(self, index: int, error: CompileError) -> CompileError:
-        error.request = self.requests[index]
-        if self.on_error == "raise":
-            raise error
-        return error
-
-    # -- in-process execution (no timeout, no kill faults) -------------------
-
-    def run_inline(self, misses: list[int], results: list) -> None:
-        for index in misses:
-            outcome = self._attempts_inline(index)
-            if isinstance(outcome, CompileError):
-                results[index] = self._finalize_failure(index, outcome)
-            else:
-                self.collect(index, outcome)
-
-    def _attempts_inline(self, index: int):
-        request = self.requests[index]
-        fingerprint = self.fingerprints[index]
-        error = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                time.sleep(self._backoff_seconds(index, attempt))
-            try:
-                if self.plan is not None:
-                    from repro.api.faults import apply_execution_faults
-
-                    apply_execution_faults(
-                        self.plan, fingerprint, index, attempt, in_worker=False
-                    )
-                with self.tracer.span("request", index=index, attempt=attempt):
-                    return _compile(request)
-            except Exception as exc:
-                error = CompileError.from_exception(
-                    exc, attempts=attempt + 1, request=request
-                )
-        return error
-
-    # -- isolated execution (one forked child per attempt) -------------------
-
-    def run_isolated(self, misses: list[int], results: list, pool_size: int) -> None:
-        ctx = _mp_context()
-        pending: deque[_Job] = deque(_Job(index, 0, 0.0) for index in misses)
-        running: list[_Running] = []
+    def start(self, index: int, attempt: int) -> None:
+        worker = self.idle.pop() if self.idle else self._spawn()
         try:
-            while pending or running:
-                now = time.monotonic()
-                while len(running) < pool_size:
-                    job = next((j for j in pending if j.ready_at <= now), None)
-                    if job is None:
-                        break
-                    pending.remove(job)
-                    running.append(self._start(ctx, job, now))
-                self._wait_for_events(running)
-                for record in list(running):
-                    outcome = self._poll(record)
-                    if outcome is None:
-                        continue
-                    running.remove(record)
-                    kind, value = outcome
-                    if kind == "ok":
-                        self.collect(record.index, value)
-                    elif record.attempt < self.retries:
-                        pending.append(
-                            _Job(
-                                record.index,
-                                record.attempt + 1,
-                                time.monotonic()
-                                + self._backoff_seconds(
-                                    record.index, record.attempt + 1
-                                ),
-                            )
-                        )
-                    else:
-                        results[record.index] = self._finalize_failure(
-                            record.index, value
-                        )
-                if pending and not running:
-                    # every runnable slot is waiting out a backoff window
-                    next_ready = min(job.ready_at for job in pending)
-                    delay = next_ready - time.monotonic()
-                    if delay > 0:
-                        time.sleep(min(delay, _POLL_SECONDS))
-        finally:
-            for record in running:
-                try:
-                    record.process.terminate()
-                    record.process.join(5)
-                    record.conn.close()
-                except Exception:
-                    pass
+            worker.conn.send((index, attempt))
+        except OSError:  # the worker died while idle: replace it
+            self._stop(worker)
+            worker = self._spawn()
+            worker.conn.send((index, attempt))
+        worker.job = (index, attempt)
+        if self.timeout is not None:
+            worker.deadline = time.monotonic() + self.timeout
+        self.busy.append(worker)
 
-    def _start(self, ctx, job: _Job, now: float) -> _Running:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_attempt_child,
-            args=(
-                child_conn,
-                self.requests[job.index],
-                self.plan,
-                self.fingerprints[job.index],
-                job.index,
-                job.attempt,
-                self.trace_ctx,
-            ),
+    def _spawn(self) -> _Worker:
+        conn, child_conn = self.context.Pipe()
+        process = self.context.Process(
+            target=_worker_main,
+            args=(child_conn, conn, self.work),
             daemon=True,
         )
         process.start()
-        child_conn.close()  # parent keeps only the read end: EOF == child gone
-        deadline = None if self.timeout is None else now + self.timeout
-        return _Running(job.index, job.attempt, process, parent_conn, deadline)
+        child_conn.close()  # the parent keeps one end only: EOF == worker gone
+        return _Worker(process, conn)
 
-    def _wait_for_events(self, running: list[_Running]) -> None:
-        if not running:
-            return
-        from multiprocessing.connection import wait as connection_wait
-
-        timeout = _POLL_SECONDS
-        now = time.monotonic()
-        deadlines = [r.deadline for r in running if r.deadline is not None]
-        if deadlines:
-            timeout = max(0.0, min(min(deadlines) - now, _POLL_SECONDS))
-        try:
-            connection_wait([r.conn for r in running], timeout=timeout)
-        except OSError:
-            pass
-
-    def _poll(self, record: _Running):
-        """The finished outcome of one running attempt, or ``None`` if live.
-
-        Returns ``("ok", CompileResult)`` or ``("error", CompileError)``.
-        """
-        message = None
-        if record.conn.poll():
-            try:
-                message = record.conn.recv()
-            except (EOFError, OSError):
-                message = None  # pipe closed mid-send: classify as a crash
-            if message is not None:
-                self._reap(record)
-                kind, value, *extra = message
-                if extra and self.tracer.enabled:
-                    spans, counters = extra[0]
-                    self.tracer.extend(spans, counters)
-                if kind == "ok":
-                    return ("ok", value)
-                value.attempts = record.attempt + 1
-                return ("error", value)
-            exitcode = self._reap(record)
-            return ("error", self._crash_error(record, exitcode))
-        if not record.process.is_alive():
-            exitcode = self._reap(record)
-            return ("error", self._crash_error(record, exitcode))
-        if record.deadline is not None and time.monotonic() > record.deadline:
-            record.process.terminate()
-            self._reap(record)
-            error = CompileError(
-                f"request timed out after {self.timeout:g}s "
-                f"(attempt {record.attempt})",
-                phase="worker",
-                exc_type="Timeout",
-                attempts=record.attempt + 1,
-            )
-            return ("error", error)
-        return None
-
-    def _reap(self, record: _Running):
-        record.process.join(5)
-        exitcode = record.process.exitcode
-        record.conn.close()
-        return exitcode
-
-    def _crash_error(self, record: _Running, exitcode) -> CompileError:
-        return CompileError(
-            f"worker process died with exit code {exitcode} "
-            f"(attempt {record.attempt})",
-            phase="worker",
-            exc_type="WorkerCrash",
-            attempts=record.attempt + 1,
+    def wait(self, until: float | None) -> list[_Done]:
+        """Sleep until a busy worker replies, dies or overruns, or ``until``."""
+        wakeups = [w.deadline for w in self.busy if w.deadline is not None]
+        if until is not None:
+            wakeups.append(until)
+        timeout = max(0.0, min(wakeups) - time.monotonic()) if wakeups else None
+        wait_for_ready(
+            [worker.conn for worker in self.busy]
+            + [worker.process.sentinel for worker in self.busy],
+            timeout,
         )
+        finished = []
+        for worker in list(self.busy):
+            done = self._poll(worker)
+            if done is not None:
+                self.busy.remove(worker)
+                finished.append(done)
+        return finished
+
+    def _poll(self, worker: _Worker) -> _Done | None:
+        """The finished attempt of a busy worker, or ``None`` while it runs."""
+        index, attempt = worker.job
+        if worker.conn.poll():
+            try:
+                done = worker.conn.recv()
+            except (EOFError, OSError):
+                pass  # the pipe closed mid-reply: the worker crashed
+            else:
+                self.idle.append(worker)
+                try:
+                    raw = None if done.raw is None else pickle.loads(done.raw)
+                except Exception:
+                    raw = None
+                return done._replace(raw=raw)
+        elif worker.process.is_alive():
+            if worker.deadline is None or time.monotonic() < worker.deadline:
+                return None
+            self._stop(worker)
+            return _Done(
+                index,
+                attempt,
+                CompileError(
+                    f"request timed out after {self.timeout:g}s (attempt {attempt})",
+                    phase="worker",
+                    exc_type="Timeout",
+                    attempts=attempt + 1,
+                ),
+            )
+        exitcode = self._stop(worker)
+        return _Done(
+            index,
+            attempt,
+            CompileError(
+                f"worker process died with exit code {exitcode} (attempt {attempt})",
+                phase="worker",
+                exc_type="WorkerCrash",
+                attempts=attempt + 1,
+            ),
+        )
+
+    @staticmethod
+    def _stop(worker: _Worker) -> int | None:
+        """Terminate (if still running), reap and disconnect one worker."""
+        worker.process.terminate()
+        worker.process.join(5)
+        worker.conn.close()
+        return worker.process.exitcode
+
+    def close(self) -> None:
+        for worker in self.idle + self.busy:
+            self._stop(worker)
+
+
+# ---------------------------------------------------------------------------
+# The attempt loop
+# ---------------------------------------------------------------------------
+
+
+class _AttemptLoop:
+    """Schedules, retries and finalises every miss over one transport."""
+
+    def __init__(self, work: _Work, record, *, retries, backoff, on_error, raw_errors):
+        self.work = work
+        self.record = record  # callback(index, outcome) filling the batch slot
+        self.retries = retries
+        self.backoff = backoff
+        self.on_error = on_error
+        #: Re-raise the request's own exception instead of a CompileError.
+        self.raw_errors = raw_errors
+        self.tracer = current_tracer()
+
+    def run(self, misses: list[int], transport) -> None:
+        # (ready_at, index, attempt): first attempts are ready at once and
+        # start in request order; retries wait out their backoff.
+        waiting = [(0.0, index, 0) for index in misses]
+        running = 0
+        fragments: dict[int, list] = {}
+        try:
+            while waiting or running:
+                now = time.monotonic()
+                while waiting and running < transport.size and waiting[0][0] <= now:
+                    _, index, attempt = heapq.heappop(waiting)
+                    transport.start(index, attempt)
+                    running += 1
+                until = waiting[0][0] if waiting and running < transport.size else None
+                for done in transport.wait(until):
+                    running -= 1
+                    if done.trace is not None:
+                        fragments.setdefault(done.index, []).append(done.trace)
+                    self._settle(done, waiting)
+        finally:
+            transport.close()
+            # Stitch in request order, so the span sequence is the same for
+            # every transport, worker count and arrival order.
+            for index in sorted(fragments):
+                for spans, counters in fragments[index]:
+                    self.tracer.extend(spans, counters)
+
+    def _settle(self, done: _Done, waiting: list) -> None:
+        if done.value.ok:
+            self.record(done.index, done.value)
+        elif done.attempt < self.retries:
+            # Backoff is seeded on the request's content address where known
+            # (stable across runs and batch positions), else its batch index.
+            seed_key = self.work.fingerprints[done.index] or f"request-{done.index}"
+            attempt = done.attempt + 1
+            ready_at = time.monotonic() + deterministic_backoff(
+                seed_key, attempt, self.backoff
+            )
+            heapq.heappush(waiting, (ready_at, done.index, attempt))
+        else:
+            error = done.value
+            error.request = self.work.requests[done.index]
+            if self.on_error == "collect":
+                self.record(done.index, error)
+            elif self.raw_errors and done.raw is not None:
+                raise done.raw
+            else:
+                raise error
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +418,6 @@ class _FaultTolerantRunner:
 def compile_many(
     requests: Iterable[CompileRequest],
     workers: int = 1,
-    chunksize: int | None = None,
     cache=True,
     on_error: str = "raise",
     timeout: float | None = None,
@@ -447,31 +425,37 @@ def compile_many(
     backoff: float = 0.0,
     faults=None,
 ) -> BatchResult:
-    """Compile every request, fanning out across ``workers`` processes.
+    """Compile every request through one attempt loop over ``workers``.
 
-    ``workers`` must be at least 1: exactly 1 runs serially in-process (no
-    pool, no pickling); any higher count uses a process pool, clamped to the
-    number of requests (extra workers would only sit idle).  Zero or
-    negative counts raise :class:`ValueError` instead of being silently
-    serialised.  Per-request seeding is deterministic -- each request's seed
-    is fixed before scheduling -- so the routed circuits are identical for
-    every worker count.
+    ``workers`` must be at least 1; the count is clamped to the number of
+    requests (extra workers would only sit idle) and zero or negative counts
+    raise :class:`ValueError` instead of being silently serialised.  The
+    misses run on the inline transport (in this process) when one worker
+    suffices, no ``timeout`` is set and no kill fault is planned; otherwise
+    on up to ``workers`` persistent forked worker processes.  Per-request
+    seeding is deterministic -- each request's seed is fixed before
+    scheduling -- so the routed circuits are identical for every worker
+    count and transport.
 
     ``cache`` is ``True`` (the process default cache), ``False`` / ``None``
     (compile everything) or an explicit
     :class:`~repro.api.cache.CompileCache`; cache hits are filled in the
-    parent process and only the misses are scheduled.
+    parent process, only the misses are scheduled, and
+    ``BatchResult.cached_slots`` names the hit positions.
 
     Fault tolerance (all arguments validated up front; bad values raise
     :class:`ValueError` before any work is scheduled):
 
     * ``on_error`` -- ``"raise"`` (default) aborts on the first failing
-      request, preserving the historical contract; ``"collect"`` records
-      each failure as a structured :class:`~repro.api.result.CompileError`
-      in its original batch slot and keeps compiling the siblings.
+      request; ``"collect"`` records each failure as a structured
+      :class:`~repro.api.result.CompileError` in its original batch slot and
+      keeps compiling the siblings.  Under ``"raise"`` with no timeout,
+      retries or faults the request's own exception propagates unchanged
+      (from a worker too, when it pickles); every other failure raises a
+      :class:`~repro.api.result.CompileError`.
     * ``timeout`` -- per-request wall-clock bound in seconds (per attempt);
-      enforcing it requires process isolation, so each attempt runs in its
-      own forked child and a hung worker is terminated and reaped.
+      enforcing it needs a separate process, so a timeout always selects the
+      process transport, whose hung worker is terminated and replaced.
     * ``retries`` -- extra attempts per failed request (``retries=2`` means
       up to 3 attempts), spaced by the deterministic seeded backoff schedule
       ``backoff * 2**(attempt-1) * jitter(fingerprint, attempt)``.
@@ -496,30 +480,26 @@ def compile_many(
     tracer = current_tracer()
 
     results: list[CompileResult | CompileError | None] = [None] * len(requests)
-    misses: list[int] = []
     fingerprints: list[str | None] = [None] * len(requests)
+    misses: list[int] = []
     with tracer.span(
         "batch", requests=len(requests), workers=workers
     ) as batch_span, _cache_fault_window(cache_store, plan):
-        if cache_store is None:
-            misses = list(range(len(requests)))
-            if plan is not None:
-                # fault targets and backoff seeds key on the content address
-                for index, request in enumerate(requests):
-                    fingerprints[index] = request_fingerprint(request)
-        else:
-            for index, request in enumerate(requests):
-                fingerprint = request_fingerprint(request)
-                fingerprints[index] = fingerprint
-                hit = cache_store.lookup(fingerprint, request)
-                if hit is None:
-                    misses.append(index)
-                else:
-                    results[index] = hit
+        for index, request in enumerate(requests):
+            if cache_store is not None or plan is not None:
+                # cache keys, fault targets and backoff seeds: content addresses
+                fingerprints[index] = request_fingerprint(request)
+            hit = None
+            if cache_store is not None:
+                hit = cache_store.lookup(fingerprints[index], request)
+            if hit is None:
+                misses.append(index)
+            else:
+                results[index] = hit
 
         # ``workers`` semantics are independent of the hit rate: the reported
         # count is the scheduling capacity (clamped to the request count),
-        # while the pool itself is sized by the actual miss load.
+        # while the transport itself is sized by the actual miss load.
         effective = min(workers, len(requests) or 1)
         pool_size = min(workers, len(misses) or 1)
         if tracer.enabled:
@@ -533,68 +513,31 @@ def compile_many(
         # Results are stored as they arrive, so a failing request late in the
         # batch still leaves every already completed sibling cached for the
         # retry.
-        def _collect(index: int, result: CompileResult) -> None:
-            results[index] = result
-            if cache_store is not None:
-                cache_store.store(fingerprints[index], result)
+        def record(index: int, outcome: CompileResult | CompileError) -> None:
+            results[index] = outcome
+            if cache_store is not None and outcome.ok:
+                cache_store.store(fingerprints[index], outcome)
 
-        fault_tolerant = (
-            on_error == "collect"
-            or timeout is not None
-            or retries > 0
-            or plan is not None
+        work = _Work(
+            requests, fingerprints, plan, tracer.context() if tracer.enabled else None
         )
-        if not fault_tolerant:
-            if pool_size == 1:
-                for index in misses:
-                    with tracer.span("request", index=index):
-                        result = _compile(requests[index])
-                    _collect(index, result)
-            else:
-                if chunksize is None:
-                    chunksize = max(1, len(misses) // (pool_size * 4))
-                with ProcessPoolExecutor(
-                    max_workers=pool_size, mp_context=_mp_context()
-                ) as pool:
-                    if tracer.enabled:
-                        # Workers record into child tracers keyed on the batch
-                        # trace context; pool.map yields in miss order, so the
-                        # stitched span sequence matches a serial run.
-                        ctx = tracer.context()
-                        payloads = [(requests[index], index, ctx) for index in misses]
-                        for index, (result, spans, counters) in zip(
-                            misses,
-                            pool.map(_compile_traced, payloads, chunksize=chunksize),
-                        ):
-                            tracer.extend(spans, counters)
-                            _collect(index, result)
-                    else:
-                        miss_requests = [requests[index] for index in misses]
-                        for index, result in zip(
-                            misses,
-                            pool.map(_compile, miss_requests, chunksize=chunksize),
-                        ):
-                            _collect(index, result)
+        # A timeout or a kill fault can only be enforced on a separate process.
+        kills = plan is not None and plan.has_kills()
+        if pool_size == 1 and timeout is None and not kills:
+            transport = _InlineTransport(work)
         else:
-            runner = _FaultTolerantRunner(
-                requests,
-                fingerprints,
-                timeout=timeout,
-                retries=retries,
-                backoff=backoff,
-                plan=plan,
-                on_error=on_error,
-                collect=_collect,
-            )
-            # A wall-clock timeout or a kill fault can only be enforced on an
-            # isolated process; otherwise one worker runs attempts in-process.
-            needs_isolation = timeout is not None or (
-                plan is not None and plan.has_kills()
-            )
-            if pool_size == 1 and not needs_isolation:
-                runner.run_inline(misses, results)
-            else:
-                runner.run_isolated(misses, results, pool_size)
+            transport = _ProcessTransport(pool_size, timeout, work)
+        loop = _AttemptLoop(
+            work,
+            record,
+            retries=retries,
+            backoff=backoff,
+            on_error=on_error,
+            raw_errors=(
+                on_error == "raise" and timeout is None and not retries and plan is None
+            ),
+        )
+        loop.run(misses, transport)
 
     return BatchResult(
         results=results,
@@ -602,6 +545,7 @@ def compile_many(
         wall_seconds=time.perf_counter() - start,
         cache_hits=len(requests) - len(misses),
         cache_misses=len(misses),
+        cached_slots=frozenset(range(len(requests))) - frozenset(misses),
     )
 
 

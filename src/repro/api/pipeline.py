@@ -157,23 +157,53 @@ def compile(  # noqa: A001 - deliberate name
     with _cache_fault_window(cache_store, plan):
         if cache_store is None:
             fingerprint = request_fingerprint(request) if plan is not None else None
-            return compile_uncached(request, faults=plan, fingerprint=fingerprint)
+            return run_attempt(request, plan, fingerprint)
         fingerprint = request_fingerprint(request)
         hit = cache_store.lookup(fingerprint, request)
         if hit is not None:
             return hit
-        result = compile_uncached(request, faults=plan, fingerprint=fingerprint)
+        result = run_attempt(request, plan, fingerprint)
         cache_store.store(fingerprint, result)
         return result
 
 
-def compile_uncached(
+def run_attempt(
     request: CompileRequest,
-    faults: "FaultPlan | None" = None,
-    fingerprint: str | None = None,
+    plan: "FaultPlan | None",
+    fingerprint: str | None,
+    index: int | None = None,
     attempt: int = 0,
     in_worker: bool = False,
 ) -> CompileResult:
+    """One attempt at a request: fire its execution faults, then compile it.
+
+    The single fault-injection point shared by :func:`compile` and both
+    transports of :func:`repro.api.compile_many`.  ``plan`` is ``None`` for
+    a fault-free attempt; ``in_worker`` lets a ``kill`` fault hard-exit
+    (only a disposable worker process may die).
+    """
+    if plan is not None:
+        from repro.api.faults import apply_execution_faults
+
+        apply_execution_faults(plan, fingerprint, index, attempt, in_worker=in_worker)
+    return compile_uncached(request)
+
+
+@contextmanager
+def _timed_pass(timings: dict[str, float], tracer, name: str, **attributes):
+    """Run one pass under its span and record its elapsed time in ``timings``.
+
+    One measurement fills both: a recording tracer's span duration is the
+    pass timing; under the no-op tracer a ``perf_counter`` pair stands in.
+    """
+    start = time.perf_counter()
+    with tracer.span(name, **attributes) as active:
+        yield active
+    span = active.span
+    timings[name] = time.perf_counter() - start if span is None else span.duration
+
+
+def compile_uncached(request: CompileRequest) -> CompileResult:
     """Run the full pass pipeline for one request, bypassing every cache.
 
     Any escaping exception is annotated with the failing phase (``request``,
@@ -182,43 +212,29 @@ def compile_uncached(
     """
     phase = "request"
     try:
-        if faults is not None:
-            from repro.api.faults import apply_execution_faults
-
-            phase = "inject"
-            apply_execution_faults(
-                faults, fingerprint, None, attempt, in_worker=in_worker
-            )
-            phase = "request"
         try:
             request.check()
         except ValueError as exc:
             raise CompileError(str(exc)) from exc
         timings: dict[str, float] = {}
 
-        # Tracing is observational only: spans are recorded *around* the
-        # existing pass timing (never replacing it), and the disabled path
-        # pays one thread-local read plus no-op context managers.
+        # Tracing is observational only: the disabled path pays one
+        # thread-local read plus no-op context managers.
         tracer = current_tracer()
         with tracer.span("compile", seed=request.seed) as compile_span:
             phase = "load"
-            start = time.perf_counter()
-            with tracer.span("load"):
+            with _timed_pass(timings, tracer, "load"):
                 circuit = load_circuit(request.circuit, request.qasm, request.generate)
                 coupling = resolve_backend(request.backend)
-            timings["load"] = time.perf_counter() - start
 
             phase = "place"
-            start = time.perf_counter()
-            with tracer.span("place", placement=request.placement):
+            with _timed_pass(timings, tracer, "place", placement=request.placement):
                 layout = _place(request, circuit, coupling)
-            timings["place"] = time.perf_counter() - start
 
             phase = "route"
             spec = resolve_router(request.router)
             router = spec.make(coupling, seed=request.seed, config=request.router_config)
-            start = time.perf_counter()
-            with tracer.span("route", router=spec.name) as route_span:
+            with _timed_pass(timings, tracer, "route", router=spec.name) as route_span:
                 routing = router.run(circuit, layout)
                 if tracer.enabled:
                     route_span.update(
@@ -228,11 +244,9 @@ def compile_uncached(
                             "cost_evaluations": routing.cost_evaluations,
                         }
                     )
-            timings["route"] = time.perf_counter() - start
 
             phase = "validate"
-            start = time.perf_counter()
-            with tracer.span("validate", mode=request.validation):
+            with _timed_pass(timings, tracer, "validate", mode=request.validation):
                 if request.validation == "connectivity":
                     check_connectivity(routing.routed_circuit, coupling.edges())
                 elif request.validation == "full":
@@ -242,13 +256,10 @@ def compile_uncached(
                         coupling.edges(),
                         routing.initial_layout,
                     )
-            timings["validate"] = time.perf_counter() - start
 
             phase = "metrics"
-            start = time.perf_counter()
-            with tracer.span("metrics"):
+            with _timed_pass(timings, tracer, "metrics"):
                 metrics = _metrics(request, circuit, coupling, spec.name, routing, timings)
-            timings["metrics"] = time.perf_counter() - start
 
             if tracer.enabled:
                 compile_span.update(

@@ -216,6 +216,9 @@ class BatchResult:
     #: caching disabled every request counts as a miss).
     cache_hits: int = 0
     cache_misses: int = 0
+    #: The batch positions answered from the compile cache (immutable); every
+    #: other slot was computed by this batch or failed.
+    cached_slots: frozenset[int] = frozenset()
 
     def __len__(self) -> int:
         return len(self.results)

@@ -21,10 +21,11 @@ the lookup and the registration, so coalescing has no race window); a bounded
 priority queue (:mod:`repro.serve.queue`) applies explicit backpressure
 (HTTP 429 + ``Retry-After`` when full); ``workers`` asyncio tasks drain the
 queue and run the blocking pipeline in a thread pool via
-``compile_many([request], workers=1, on_error="collect", ...)`` -- which is
-exactly the PR-6 fault-tolerant driver, so per-request timeouts, retries
-with deterministic backoff, worker-crash reaping and fault injection all
-come for free and behave identically to the CLI.
+``compile_many([request], workers=1, on_error="collect", ...)`` -- the same
+attempt loop the CLI uses, so per-request timeouts, retries with
+deterministic backoff, worker-crash reaping and fault injection behave
+identically to the CLI.  Pass-latency histograms and the ``executions``
+counter cover computed results only, never cache hits.
 
 Determinism makes the service semantics simple: a compile result is a pure
 function of its request, so identical in-flight requests legally **coalesce**
@@ -420,22 +421,37 @@ class CompileService:
                     runner = self._run_batch
                 else:
                     runner = self._run_compile
-                status, response = await loop.run_in_executor(
+                status, response, batch = await loop.run_in_executor(
                     None, self._run_traced, runner, work, job
                 )
             except Exception as exc:  # the executor call itself failed
                 logger.exception("worker execution failed for %s", job.id)
                 status, response = compile_error_body(CompileError.from_exception(exc))
+                batch = None
             elapsed = time.monotonic() - started
             self._recent_seconds.append(elapsed)
             self.metrics.observe("total", elapsed)
-            if status < 400:
-                self.metrics.increment("executions")
-            else:
+            # Cache hits replay stored pass timings: only the slots this job
+            # computed feed the pass histograms, and an all-hit job is not an
+            # execution.
+            fresh = []
+            if batch is not None:
+                fresh = [
+                    result
+                    for index, result in enumerate(batch.results)
+                    if index not in batch.cached_slots
+                ]
+            for result in fresh:
+                if isinstance(result, CompileResult):
+                    for phase, seconds in result.pass_timings.items():
+                        self.metrics.observe(f"pass_{phase}", seconds)
+            if status >= 400:
                 self.metrics.increment("failures")
+            elif fresh:
+                self.metrics.increment("executions")
             self.jobs.finish(job, status, response)
 
-    def _run_traced(self, runner, work, job: Job) -> tuple[int, dict]:
+    def _run_traced(self, runner, work, job: Job) -> tuple:
         """Run one job in the executor thread, under a tracer when sinking.
 
         Without ``--trace-out`` this is a plain passthrough (no tracer, no
@@ -449,58 +465,42 @@ class CompileService:
         tracer = Tracer(trace_id=getattr(job, "trace_id", None))
         with use_tracer(tracer):
             with tracer.span("serve.request", kind=job.kind, job=job.id) as span:
-                status, response = runner(work)
-                span.set("status", status)
+                outcome = runner(work)
+                span.set("status", outcome[0])
         with self._trace_lock:
             append_trace(
                 self.config.trace_out,
                 tracer,
                 meta={"tool": "repro-serve", "version": __version__, "job": job.id},
             )
-        return status, response
+        return outcome
 
-    def _run_compile(self, request: CompileRequest) -> tuple[int, dict]:
+    def _run_compile(self, request: CompileRequest) -> tuple:
         """Run one compile in the worker thread (the blocking hot path).
 
-        Uses the PR-6 fault-tolerant batch driver for a single request, so
-        the service's ``--timeout``/``--retries``/``--inject-faults`` behave
+        Uses the fault-tolerant batch driver for a single request, so the
+        service's ``--timeout``/``--retries``/``--inject-faults`` behave
         exactly like ``repro-map bench``'s, and every failure arrives as a
         structured :class:`CompileError` -- never as a dropped connection.
+        Returns ``(status, body, batch)``.
         """
-        batch = compile_many(
-            [request],
-            workers=1,
-            cache=self.cache,
-            on_error="collect",
-            timeout=self.config.timeout,
-            retries=self.config.retries,
-            faults=self.config.faults,
-        )
+        batch = self._compile_many([request])
         outcome = batch.results[0]
         if isinstance(outcome, CompileResult):
-            self._observe_pass_timings(outcome)
-            return 200, {
+            body = {
                 "ok": True,
                 "fingerprint": request_fingerprint(request),
-                "cached": False,
+                "cached": 0 in batch.cached_slots,
                 "result": result_to_payload(outcome),
             }
-        return compile_error_body(outcome)
+            return 200, body, batch
+        return (*compile_error_body(outcome), batch)
 
-    def _run_batch(self, requests: list[CompileRequest]) -> tuple[int, dict]:
-        batch = compile_many(
-            requests,
-            workers=1,
-            cache=self.cache,
-            on_error="collect",
-            timeout=self.config.timeout,
-            retries=self.config.retries,
-            faults=self.config.faults,
-        )
+    def _run_batch(self, requests: list[CompileRequest]) -> tuple:
+        batch = self._compile_many(requests)
         results = []
         for outcome in batch.results:
             if isinstance(outcome, CompileResult):
-                self._observe_pass_timings(outcome)
                 results.append({"ok": True, "result": result_to_payload(outcome)})
             else:
                 results.append({"ok": False, "error": outcome.summary()})
@@ -515,11 +515,18 @@ class CompileService:
         }
         # A partially-failed batch is still a *served* batch: the slot errors
         # are the payload, so the HTTP exchange itself succeeded (200).
-        return 200, body
+        return 200, body, batch
 
-    def _observe_pass_timings(self, result: CompileResult) -> None:
-        for phase, seconds in result.pass_timings.items():
-            self.metrics.observe(f"pass_{phase}", seconds)
+    def _compile_many(self, requests: list[CompileRequest]):
+        return compile_many(
+            requests,
+            workers=1,
+            cache=self.cache,
+            on_error="collect",
+            timeout=self.config.timeout,
+            retries=self.config.retries,
+            faults=self.config.faults,
+        )
 
     async def _watch_drain(self) -> None:
         """Resolve the shutdown event once every admitted job has finished."""

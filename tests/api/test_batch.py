@@ -1,18 +1,25 @@
 """Tests for the parallel batch driver :func:`repro.api.compile_many`."""
 
+import os
+import time
+
 import pytest
 
 from repro.api import (
     CompileCache,
     CompileRequest,
+    FaultPlan,
     compile as api_compile,
     compile_many,
     compile_sweep,
+    deterministic_backoff,
+    request_fingerprint,
     router_names,
     sweep_requests,
 )
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.hardware.topologies import grid_topology
+from repro.obs.trace import Tracer, use_tracer
 
 GRID = grid_topology(4, 4)
 
@@ -205,3 +212,51 @@ class TestCompileSweep:
         assert cold.cache_misses == 6 and warm.cache_hits == 6
         for left, right in zip(cold, warm):
             assert gates_of(left.routed_circuit) == gates_of(right.routed_circuit)
+
+
+
+def greedy_requests(count):
+    return [
+        CompileRequest(circuit=ghz_circuit(6), backend=GRID, router="greedy", seed=s)
+        for s in range(count)
+    ]
+
+
+class TestTransports:
+    """The attempt loop's two transports: inline and persistent workers."""
+
+    def test_process_workers_persist_across_requests(self):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            compile_many(greedy_requests(6), workers=2, cache=False)
+        pids = {span.pid for span in tracer.spans if span.name == "request"}
+        # six requests served by at most two long-lived workers, never inline
+        assert 1 <= len(pids) <= 2
+        assert os.getpid() not in pids
+
+    def test_single_worker_batch_runs_inline(self):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            compile_many(greedy_requests(2), workers=1, cache=False)
+        assert {span.pid for span in tracer.spans} == {os.getpid()}
+
+    def test_retry_waits_out_its_backoff_on_worker_processes(self):
+        requests = greedy_requests(3)
+        plan = FaultPlan().inject(0, "exception", attempt=0)
+        start = time.perf_counter()
+        batch = compile_many(
+            requests, workers=2, cache=False, retries=1, backoff=0.2, faults=plan
+        )
+        elapsed = time.perf_counter() - start
+        assert batch.ok
+        assert elapsed >= deterministic_backoff(
+            request_fingerprint(requests[0]), 1, 0.2
+        )
+
+    def test_cached_slots_name_the_hits(self):
+        cache = CompileCache()
+        requests = greedy_requests(3)
+        api_compile(requests[1], cache=cache)
+        batch = compile_many(requests, workers=2, cache=cache)
+        assert batch.cached_slots == {1}
+        assert (batch.cache_hits, batch.cache_misses) == (1, 2)

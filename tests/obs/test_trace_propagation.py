@@ -90,6 +90,17 @@ class TestPipelineSpans:
             api_compile(request(router=router), cache=False)
         assert tracer.counters["kernel.heuristic_cache_hits"] >= 0
 
+    def test_pass_timings_are_the_pass_span_durations(self):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = api_compile(request(), cache=False)
+        durations = {
+            span.name: span.duration
+            for span in tracer.spans
+            if span.name in result.pass_timings
+        }
+        assert durations == result.pass_timings
+
     def test_compile_span_names_the_workload(self):
         tracer = Tracer()
         with use_tracer(tracer):
@@ -148,14 +159,25 @@ class TestBatchStitching:
         assert len(requests) == 2
         assert all(span.parent_id == batch.span_id for span in requests)
 
-    def test_parallel_trace_matches_serial_trace_span_for_span(self):
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"workers": 2},
+            {"workers": 2, "timeout": 60},
+            {"workers": 1, "on_error": "collect"},
+        ],
+        ids=["pool", "timeout", "collect"],
+    )
+    def test_parallel_trace_matches_serial_trace_span_for_span(self, options):
         reqs = [request(seed) for seed in range(3)]
         serial, parallel = Tracer(), Tracer()
         with use_tracer(serial):
             compile_many(reqs, workers=1, cache=False)
         with use_tracer(parallel):
-            compile_many(reqs, workers=2, cache=False)
+            compile_many(reqs, cache=False, **options)
         assert span_shape(serial) == span_shape(parallel)
+        requests = [attrs for name, attrs in span_shape(parallel) if name == "request"]
+        assert requests == [{"index": i, "attempt": 0} for i in range(3)]
 
     def test_batch_span_reports_cache_partition(self):
         cache = CompileCache()

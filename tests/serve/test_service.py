@@ -273,6 +273,55 @@ class TestHealthzAndMetrics:
         json.dumps(run(with_service(ServeConfig(), scenario)).body)
 
 
+class TestCacheHitsAreNotExecutions:
+    """Regression: cache hits never count as executions or pass timings."""
+
+    def test_all_hit_batches_leave_executions_and_pass_counts_alone(self):
+        # One real compile, then two batches answered entirely from the cache.
+        async def scenario(service):
+            compiled = await service.handle("POST", "/v1/compile", {}, make_body())
+            batches = [
+                await service.handle(
+                    "POST", "/v1/batch", {}, {"requests": [make_body(), make_body()]}
+                )
+                for _ in range(2)
+            ]
+            return compiled, batches, service.metrics_payload()
+
+        compiled, batches, metrics = run(with_service(ServeConfig(), scenario))
+        assert compiled.body["cached"] is False
+        assert [b.body["summary"]["cache"]["hits"] for b in batches] == [2, 2]
+        assert metrics["counters"]["executions"] == 1
+        assert metrics["latency_seconds"]["pass_route"]["count"] == 1
+
+    def test_batch_with_a_fresh_slot_counts_once_and_observes_only_it(self):
+        async def scenario(service):
+            await service.handle("POST", "/v1/compile", {}, make_body(seed=0))
+            await service.handle(
+                "POST",
+                "/v1/batch",
+                {},
+                {"requests": [make_body(seed=0), make_body(seed=1)]},
+            )
+            return service.metrics_payload()
+
+        metrics = run(with_service(ServeConfig(), scenario))
+        assert metrics["counters"]["executions"] == 2
+        assert metrics["latency_seconds"]["pass_route"]["count"] == 2
+
+    def test_compile_job_reports_a_hit_found_at_execution_as_cached(self):
+        request = CompileRequest(generate="ghz:6", backend="ankaa3", router="greedy", seed=0)
+
+        async def scenario(service):
+            service.cache.store(request_fingerprint(request), api_compile(request, cache=False))
+            return service._run_compile(request)
+
+        status, body, batch = run(with_service(ServeConfig(), scenario))
+        assert status == 200
+        assert body["cached"] is True
+        assert batch.cached_slots == {0}
+
+
 class TestFaultInjection:
     """Faults through the service path surface as structured HTTP bodies.
 
