@@ -30,8 +30,7 @@ test-cache:
 ## interleavings), index<->directory crash consistency (torn lines, orphans,
 ## stale records), warm==cold bit-for-bit under eviction pressure, readonly
 ## fleet mode racing a live writer, the vanishing-entry-mid-scan regression,
-## and transparent migration of pre-shard flat directories (golden fixture
-## under tests/data/cache_legacy/).
+## and the entry-envelope format golden (tests/data/cache_legacy/).
 test-cache-store:
 	$(PYTHON) -m pytest tests/api/test_cache_store.py tests/serve/test_serve_cache.py -q
 

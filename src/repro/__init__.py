@@ -8,13 +8,15 @@ OpenQASM 2.0 front-end, a circuit IR with dependence analysis, hardware
 coupling-graph models, reimplementations of the four baseline mappers, and
 the QUEKO / QASMBench-style workload generators used by the evaluation.
 
-Quickstart::
+Every router runs through one pipeline, :func:`repro.api.compile`
+(load -> place -> route -> validate -> metrics); :func:`repro.compile_many`
+runs a batch of requests.  Quickstart::
 
-    from repro import QlosureMapper, sherbrooke
+    from repro.api import CompileRequest, compile
     from repro.benchgen.qasmbench import ghz_circuit
 
-    mapper = QlosureMapper(sherbrooke())
-    result = mapper.map(ghz_circuit(20))
+    result = compile(CompileRequest(circuit=ghz_circuit(20), backend="sherbrooke",
+                                    router="qlosure", validation="full"))
     print(result.swaps_added, result.routed_depth)
 """
 
@@ -29,10 +31,8 @@ from repro.hardware import (
     backend_by_name,
 )
 from repro.core import (
-    QlosureMapper,
     QlosureConfig,
     QlosureRouter,
-    map_circuit,
     ErrorAwareQlosureRouter,
     map_circuit_error_aware,
 )
@@ -45,7 +45,6 @@ from repro.baselines import (
     CirqLikeRouter,
     TketLikeRouter,
     GreedyDistanceRouter,
-    baseline_router,
 )
 from repro.affine import lift_circuit, dependence_weights, DependenceAnalysis
 from repro.qasm import circuit_from_qasm, circuit_to_qasm, load_qasm_file
@@ -73,10 +72,8 @@ __all__ = [
     "grid_9x9",
     "grid_16x16",
     "backend_by_name",
-    "QlosureMapper",
     "QlosureConfig",
     "QlosureRouter",
-    "map_circuit",
     "ErrorAwareQlosureRouter",
     "map_circuit_error_aware",
     "NoiseModel",
@@ -89,7 +86,6 @@ __all__ = [
     "CirqLikeRouter",
     "TketLikeRouter",
     "GreedyDistanceRouter",
-    "baseline_router",
     "lift_circuit",
     "dependence_weights",
     "DependenceAnalysis",

@@ -1,10 +1,15 @@
 """Experiment drivers that regenerate the paper's tables and figures.
 
-Each evaluation artifact of the paper has a driver here:
+Every driver builds :class:`~repro.api.CompileRequest` objects by router name
+and runs them through :func:`repro.api.compile` /
+:func:`repro.api.compile_many` -- the pipeline the CLI, ``repro-map bench``
+and ``repro-map serve`` use -- so mapping time is the ``route`` pass timing
+of each result.  Each evaluation artifact of the paper has a driver here:
 
 * :mod:`repro.analysis.experiments` -- the generic comparison runner plus the
   aggregations behind Tables II-VI and Figures 6-7,
 * :mod:`repro.analysis.scaling` -- mapping-time-vs-QOPs data (Figure 5),
+* :mod:`repro.analysis.sensitivity` -- window-constant and decay sweeps,
 * :mod:`repro.analysis.ablation` -- the cost-function ablation (Figure 8),
 * :mod:`repro.analysis.report` -- plain-text table rendering,
 * :mod:`repro.analysis.config` -- benchmark scale control via environment
@@ -14,7 +19,6 @@ Each evaluation artifact of the paper has a driver here:
 from repro.analysis.config import BenchScale, bench_scale
 from repro.analysis.experiments import (
     ComparisonRecord,
-    run_mapper_on_circuit,
     compare_mappers,
     depth_factor_table,
     swap_ratio_table,
@@ -37,7 +41,6 @@ __all__ = [
     "BenchScale",
     "bench_scale",
     "ComparisonRecord",
-    "run_mapper_on_circuit",
     "compare_mappers",
     "depth_factor_table",
     "swap_ratio_table",

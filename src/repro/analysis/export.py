@@ -30,13 +30,8 @@ CSV_FIELDS = (
     "routed_depth",
     "depth_factor",
     "runtime_seconds",
+    "cost_evaluations",
 )
-
-
-def _record_row(record: ComparisonRecord) -> dict:
-    row = record.as_dict()
-    row["two_qubit_gates"] = record.two_qubit_gates
-    return {field: row.get(field, "") for field in CSV_FIELDS}
 
 
 def export_records_csv(records: Iterable[ComparisonRecord], path: str | Path) -> Path:
@@ -46,14 +41,14 @@ def export_records_csv(records: Iterable[ComparisonRecord], path: str | Path) ->
         writer = csv.DictWriter(handle, fieldnames=list(CSV_FIELDS))
         writer.writeheader()
         for record in records:
-            writer.writerow(_record_row(record))
+            writer.writerow(record.as_dict())
     return path
 
 
 def export_records_json(records: Iterable[ComparisonRecord], path: str | Path) -> Path:
     """Write records to a JSON file (list of flat objects) and return its path."""
     path = Path(path)
-    payload = [_record_row(record) for record in records]
+    payload = [record.as_dict() for record in records]
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return path
 
@@ -75,6 +70,7 @@ def _coerce(row: dict) -> ComparisonRecord:
         swaps=as_int(row.get("swaps")),
         routed_depth=as_int(row.get("routed_depth")),
         runtime_seconds=float(row.get("runtime_seconds") or 0.0),
+        cost_evaluations=as_int(row.get("cost_evaluations")),
     )
 
 

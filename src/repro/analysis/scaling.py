@@ -2,20 +2,19 @@
 
 The paper shows that Qlosure's mapping time grows near-linearly with the
 number of quantum operations (QOPs).  :func:`mapping_time_scaling` measures
-the mapping time of a mapper over a ladder of circuit sizes and fits a simple
+the mapping time (the ``route`` pass of :func:`repro.api.compile`) of a
+registered router over a ladder of circuit sizes and fits a simple
 least-squares line whose quality (R^2) quantifies "near-linear".
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
+from repro.api import CompileRequest, compile_many
+from repro.api.registry import resolve_router
 from repro.benchgen.queko import generate_queko_circuit
-from repro.circuit.metrics import total_operations
-from repro.core.mapper import QlosureMapper
 from repro.hardware.coupling import CouplingGraph
-from repro.routing.engine import RoutingEngine
 
 
 @dataclass
@@ -68,37 +67,39 @@ def mapping_time_scaling(
     backend: CouplingGraph,
     generation_device: CouplingGraph,
     depths: list[int],
-    mapper: object | None = None,
+    router: str = "qlosure",
     seed: int = 0,
 ) -> ScalingResult:
-    """Measure mapping time versus QOPs on QUEKO circuits of increasing depth."""
-    mapper = mapper or QlosureMapper(backend)
-    mapper_name = getattr(mapper, "name", type(mapper).__name__)
-    points: list[ScalingPoint] = []
-    for index, depth in enumerate(sorted(depths)):
-        instance = generate_queko_circuit(
-            generation_device, depth, seed=seed * 9973 + index
+    """Measure ``router``'s mapping time versus QOPs on QUEKO circuits of increasing depth.
+
+    The ladder runs as one :func:`repro.api.compile_many` batch; ``seed``
+    selects the QUEKO instances, the router itself runs at its default seed.
+    """
+    requests = [
+        CompileRequest(
+            circuit=generate_queko_circuit(
+                generation_device, depth, seed=seed * 9973 + index
+            ).circuit,
+            backend=backend,
+            router=router,
         )
-        start = time.perf_counter()
-        if isinstance(mapper, RoutingEngine):
-            result = mapper.run(instance.circuit)
-        else:
-            result = mapper.map(instance.circuit)
-        elapsed = time.perf_counter() - start
-        points.append(
-            ScalingPoint(
-                qops=total_operations(instance.circuit),
-                seconds=elapsed,
-                depth=result.routed_depth,
-                swaps=result.swaps_added,
-            )
+        for index, depth in enumerate(sorted(depths))
+    ]
+    points = [
+        ScalingPoint(
+            qops=result.metrics["qops"],
+            seconds=result.route_seconds,
+            depth=result.routed_depth,
+            swaps=result.swaps_added,
         )
+        for result in compile_many(requests)
+    ]
     slope, intercept, r_squared = _linear_fit(
         [float(p.qops) for p in points], [p.seconds for p in points]
     )
     return ScalingResult(
         backend_name=backend.name,
-        mapper_name=str(mapper_name),
+        mapper_name=resolve_router(router).name,
         points=points,
         slope=slope,
         intercept=intercept,

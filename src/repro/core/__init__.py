@@ -5,21 +5,27 @@ affine IR, the dependence relation and its transitive closure provide a
 weight ``omega`` for every gate, and the routing loop inserts SWAPs chosen by
 the layered, dependence-weighted cost function ``M(s)`` (Eq. 2).
 
-Public entry points:
+The router registers itself as ``"qlosure"``, so the way to run it is
+:func:`repro.api.compile`::
 
-* :class:`~repro.core.mapper.QlosureMapper` -- the full mapper (optional
-  bidirectional initial-layout passes),
-* :func:`~repro.core.mapper.map_circuit` -- one-call convenience wrapper,
+    from repro.api import CompileRequest, compile
+    result = compile(CompileRequest(generate="ghz:20", backend="sherbrooke",
+                                    router="qlosure", router_config=QlosureConfig(),
+                                    placement="bidirectional"))
+
+This package holds the pieces that request names:
+
+* :class:`~repro.core.router.QlosureRouter` -- the routing engine itself,
 * :class:`~repro.core.config.QlosureConfig` -- tuning knobs and the ablation
-  switches used in the paper's Fig. 8 study,
-* :class:`~repro.core.router.QlosureRouter` -- the routing engine itself.
+  switches used in the paper's Fig. 8 study (``router_config=``),
+* :mod:`~repro.core.placement` -- the initial-layout strategies
+  (``placement=``), including the bidirectional forward/backward search.
 """
 
 from repro.core.config import QlosureConfig
 from repro.core.cost import swap_cost
 from repro.core.lookahead import LookaheadWindow, build_lookahead
 from repro.core.router import QlosureRouter
-from repro.core.mapper import QlosureMapper, map_circuit
 from repro.core.bidirectional import bidirectional_initial_layout
 from repro.core.placement import greedy_placement, initial_layout, placement_cost
 from repro.core.error_aware import ErrorAwareQlosureRouter, map_circuit_error_aware
@@ -30,8 +36,6 @@ __all__ = [
     "LookaheadWindow",
     "build_lookahead",
     "QlosureRouter",
-    "QlosureMapper",
-    "map_circuit",
     "bidirectional_initial_layout",
     "greedy_placement",
     "initial_layout",

@@ -1,5 +1,7 @@
 """Tests for QRANE-style circuit lifting."""
 
+import pytest
+
 from repro.affine.access import AffineAccess
 from repro.affine.lifter import lift_circuit, lifting_report
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
@@ -23,6 +25,8 @@ class TestGrouping:
     def test_ghz_chain_is_one_macro_gate_plus_hadamard(self):
         program = lift_circuit(ghz_circuit(10))
         assert program.macro_gate_count() == 2
+        assert program.num_gate_instances == 10
+        assert program.compression_ratio() == pytest.approx(5.0)
         names = [s.gate_name for s in program.statements]
         assert names == ["h", "cx"]
         assert program.statements[1].trip_count == 9

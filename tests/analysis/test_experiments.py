@@ -9,13 +9,11 @@ from repro.analysis.experiments import (
     mapping_time_table,
     qasmbench_table,
     queko_series,
-    run_mapper_on_circuit,
     swap_ratio_table,
 )
-from repro.baselines.sabre import LightSabreRouter
+from repro.api import CompileRequest, compile as api_compile
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.benchgen.queko import generate_queko_circuit
-from repro.core.mapper import QlosureMapper
 from repro.hardware.topologies import grid_topology
 
 
@@ -38,46 +36,50 @@ def _record(mapper, circuit="c", swaps=10, depth=50, optimal=None, initial=20, r
     )
 
 
+def compile_record(router, circuit):
+    result = api_compile(CompileRequest(circuit=circuit, backend=GRID, router=router))
+    return ComparisonRecord.from_compile_result(result)
+
+
 class TestRunners:
-    def test_run_single_mapper(self):
-        record = run_mapper_on_circuit(
-            "qlosure", QlosureMapper(GRID), ghz_circuit(8), GRID
-        )
+    def test_record_from_qlosure_compile(self):
+        record = compile_record("qlosure", ghz_circuit(8))
         assert record.mapper_name == "qlosure"
         assert record.qops == 8
         assert record.routed_depth >= record.initial_depth
 
-    def test_run_baseline_engine(self):
-        record = run_mapper_on_circuit(
-            "lightsabre", LightSabreRouter(GRID), qft_circuit(6), GRID
-        )
+    def test_record_from_baseline_compile(self):
+        record = compile_record("lightsabre", qft_circuit(6))
         assert record.swaps >= 0
         assert record.runtime_seconds > 0
+        assert record.cost_evaluations > 0
 
-    def test_rejects_unknown_mapper_type(self):
-        with pytest.raises(TypeError):
-            run_mapper_on_circuit("x", object(), ghz_circuit(4), GRID)
+    def test_unknown_router_rejected(self):
+        with pytest.raises(KeyError):
+            compare_mappers([ghz_circuit(4)], GRID, mapper_names=["not-a-router"])
 
     def test_compare_mappers_on_mixed_inputs(self):
         queko = generate_queko_circuit(grid_topology(3, 3), depth=6, seed=1)
         records = compare_mappers(
-            [ghz_circuit(6), queko],
-            GRID,
-            mappers={"qlosure": QlosureMapper(GRID), "lightsabre": LightSabreRouter(GRID)},
+            [ghz_circuit(6), queko], GRID, mapper_names=("qlosure", "lightsabre")
         )
-        assert len(records) == 4
+        assert [(r.circuit_name, r.mapper_name) for r in records] == [
+            ("ghz_n6", "qlosure"),
+            ("ghz_n6", "lightsabre"),
+            (queko.name, "qlosure"),
+            (queko.name, "lightsabre"),
+        ]
         queko_records = [r for r in records if r.optimal_depth is not None]
         assert len(queko_records) == 2
         assert all(r.optimal_depth == 6 for r in queko_records)
 
     def test_compare_mappers_subset_selection(self):
-        records = compare_mappers(
-            [ghz_circuit(5)],
-            GRID,
-            mappers={"qlosure": QlosureMapper(GRID), "lightsabre": LightSabreRouter(GRID)},
-            mapper_names=["qlosure"],
-        )
+        records = compare_mappers([ghz_circuit(5)], GRID, mapper_names=["qlosure"])
         assert {r.mapper_name for r in records} == {"qlosure"}
+
+    def test_aliases_record_the_canonical_name(self):
+        records = compare_mappers([ghz_circuit(5)], GRID, mapper_names=["pytket"])
+        assert [r.mapper_name for r in records] == ["tket"]
 
 
 class TestRecord:

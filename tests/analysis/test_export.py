@@ -9,9 +9,7 @@ from repro.analysis.export import (
     load_records_csv,
     load_records_json,
 )
-from repro.baselines.sabre import LightSabreRouter
-from repro.benchgen.qasmbench import ghz_circuit
-from repro.core.mapper import QlosureMapper
+from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.hardware.topologies import grid_topology
 
 
@@ -20,11 +18,15 @@ GRID = grid_topology(3, 3)
 
 @pytest.fixture
 def records():
-    return compare_mappers(
-        [ghz_circuit(6)],
-        GRID,
-        mappers={"qlosure": QlosureMapper(GRID), "lightsabre": LightSabreRouter(GRID)},
-    )
+    return compare_mappers([ghz_circuit(6)], GRID, mapper_names=("qlosure", "lightsabre"))
+
+
+@pytest.fixture
+def routed_records():
+    """Records that did real routing work (non-zero cost evaluations)."""
+    records = compare_mappers([qft_circuit(8)], GRID, mapper_names=("qlosure", "sabre"))
+    assert all(record.cost_evaluations > 0 for record in records)
+    return records
 
 
 class TestCsvRoundTrip:
@@ -53,6 +55,12 @@ class TestCsvRoundTrip:
         loaded = load_records_csv(export_records_csv([record], tmp_path / "one.csv"))
         assert loaded[0].optimal_depth == 7
 
+    def test_cost_evaluations_roundtrip(self, routed_records, tmp_path):
+        loaded = load_records_csv(export_records_csv(routed_records, tmp_path / "r.csv"))
+        assert [r.cost_evaluations for r in loaded] == [
+            r.cost_evaluations for r in routed_records
+        ]
+
 
 class TestJsonRoundTrip:
     def test_roundtrip(self, records, tmp_path):
@@ -69,6 +77,12 @@ class TestJsonRoundTrip:
         payload = json.loads(path.read_text())
         assert isinstance(payload, list)
         assert all("mapper" in row for row in payload)
+
+    def test_cost_evaluations_roundtrip(self, routed_records, tmp_path):
+        loaded = load_records_json(export_records_json(routed_records, tmp_path / "r.json"))
+        assert [r.cost_evaluations for r in loaded] == [
+            r.cost_evaluations for r in routed_records
+        ]
 
     def test_depth_factor_recomputable_after_load(self, records, tmp_path):
         loaded = load_records_json(export_records_json(records, tmp_path / "r.json"))

@@ -1,9 +1,9 @@
 """Parity and pipeline tests for :func:`repro.api.compile`.
 
 The load-bearing guarantee: the unified pipeline produces **gate-for-gate
-identical** routed circuits to the legacy hand-wired path (direct router
-construction + ``run`` / ``QlosureMapper.map``) for every registered router
-and every seed.
+identical** routed circuits to a hand-wired oracle (direct router
+construction + ``run``, with the forward/backward layout passes spelled out
+for bidirectional placement) for every registered router and every seed.
 """
 
 import pytest
@@ -22,11 +22,12 @@ from repro.baselines.sabre import LightSabreRouter, SabreRouter
 from repro.baselines.tket_like import TketLikeRouter
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.benchgen.queko import generate_queko_circuit
+from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.validation import RoutingValidationError, verify_routing
 from repro.core.config import QlosureConfig
-from repro.core.mapper import QlosureMapper
 from repro.core.router import QlosureRouter
 from repro.hardware.topologies import grid_topology
+from repro.routing.layout import Layout
 
 GRID = grid_topology(4, 4)
 
@@ -43,6 +44,23 @@ LEGACY_ROUTERS = {
 
 def gates_of(circuit):
     return [(g.name, g.qubits, g.params) for g in circuit]
+
+
+def direct_qlosure(circuit, config=None, passes=0):
+    """The Qlosure oracle: ``QlosureRouter.run`` driven by hand.
+
+    ``passes`` forward/backward round trips (route the circuit, then its
+    reverse, each from the previous final layout) pick the initial layout
+    of the final forward run, as bidirectional placement does.
+    """
+    router = QlosureRouter(GRID, config or QlosureConfig())
+    layout = Layout.trivial(circuit.num_qubits, GRID.num_qubits)
+    backward = QuantumCircuit(circuit.num_qubits, reversed(circuit.gates))
+    for _ in range(passes):
+        for direction in (circuit, backward):
+            final = router.run(direction, layout).final_layout
+            layout = Layout(circuit.num_qubits, GRID.num_qubits, final)
+    return router.run(circuit, layout if passes else None)
 
 
 def fixture_circuits():
@@ -64,9 +82,9 @@ class TestLegacyParity:
     def test_every_registered_router_is_covered(self):
         assert set(LEGACY_ROUTERS) | {"qlosure"} == set(router_names())
 
-    def test_qlosure_matches_legacy_mapper(self):
+    def test_qlosure_matches_direct_router(self):
         for circuit in fixture_circuits():
-            legacy = QlosureMapper(GRID).map(circuit)
+            legacy = direct_qlosure(circuit)
             result = api_compile(
                 CompileRequest(circuit=circuit, backend=GRID, router="qlosure")
             )
@@ -81,15 +99,15 @@ class TestLegacyParity:
                 CompileRequest(circuit=circuit, backend=GRID, router=name, seed=seed)
             )
             assert gates_of(result.routed_circuit) == gates_of(legacy.routed_circuit)
-        legacy = QlosureRouter(GRID, QlosureConfig(seed=seed)).run(circuit)
+        legacy = direct_qlosure(circuit, QlosureConfig(seed=seed))
         result = api_compile(
             CompileRequest(circuit=circuit, backend=GRID, router="qlosure", seed=seed)
         )
         assert gates_of(result.routed_circuit) == gates_of(legacy.routed_circuit)
 
-    def test_bidirectional_placement_matches_legacy_mapper(self):
+    def test_bidirectional_placement_matches_direct_router(self):
         circuit = qft_circuit(8)
-        legacy = QlosureMapper(GRID, bidirectional_passes=1).map(circuit)
+        legacy = direct_qlosure(circuit, passes=1)
         result = api_compile(
             CompileRequest(
                 circuit=circuit,
@@ -106,7 +124,7 @@ class TestLegacyParity:
         # final run (what the CLI builds for --seed N --bidirectional-passes)
         circuit = qft_circuit(8)
         config = QlosureConfig(seed=4)
-        legacy = QlosureMapper(GRID, config=config, bidirectional_passes=1).map(circuit)
+        legacy = direct_qlosure(circuit, config, passes=1)
         result = api_compile(
             CompileRequest(
                 circuit=circuit,

@@ -17,8 +17,9 @@ class TestPublicApi:
         circuit = repro.QuantumCircuit(4)
         circuit.h(0)
         circuit.cx(0, 3)
-        mapper = repro.QlosureMapper(backend)
-        result = mapper.map(circuit)
+        result = repro.api.compile(
+            repro.CompileRequest(circuit=circuit, backend=backend, router="qlosure")
+        )
         repro.verify_routing(
             circuit, result.routed_circuit, backend.edges(), result.initial_layout
         )
