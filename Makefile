@@ -13,9 +13,12 @@ test-fast:
 
 ## Golden determinism snapshots: every registered router against the pinned
 ## routed outputs under tests/data/golden/ (the required gate for hot-path
-## changes; regen via tests/routing/test_golden.py --update-golden).
+## changes; regen via tests/routing/test_golden.py --update-golden), plus the
+## shared SWAP-selection loop (argmin, tie-breaking, stall facts, release
+## valve) and the baseline routers that price candidates through it.
 test-golden:
-	$(PYTHON) -m pytest tests/routing/test_golden.py -q
+	$(PYTHON) -m pytest tests/routing/test_golden.py tests/routing/test_engine.py \
+		tests/baselines/test_baselines.py -q
 
 ## Compile-cache battery: serialization round-trip exactness (golden-hash
 ## oracle), fingerprint sensitivity, warm-vs-cold bit-for-bit determinism and

@@ -11,13 +11,7 @@ considered with reduced weight.
 from __future__ import annotations
 
 from repro.api.registry import register_router
-from repro.hardware.coupling import CouplingGraph
-from repro.routing.engine import (
-    RouterError,
-    RoutingEngine,
-    RoutingState,
-    swapped_distance_sum,
-)
+from repro.routing.engine import RoutingEngine, RoutingState, swapped_distance_sum
 
 
 @register_router(
@@ -35,56 +29,17 @@ class CirqLikeRouter(RoutingEngine):
     #: Maximum number of gates from the next slice taken into account.
     next_slice_size = 8
 
-    def __init__(self, coupling: CouplingGraph, seed: int = 0):
-        super().__init__(coupling, seed)
-        self._last_swap: tuple[int, int] | None = None
-
-    def on_circuit_start(self, state: RoutingState) -> None:
-        self._last_swap = None
-
-    def on_gate_executed(self, state: RoutingState, index: int) -> None:
-        self._last_swap = None
-
-    def on_swap_applied(self, state: RoutingState, swap: tuple[int, int]) -> None:
-        self._last_swap = swap
-
-    def _next_slice(self, state: RoutingState) -> list[int]:
-        """Two-qubit gates that become ready right after the current front layer."""
-        upcoming: list[int] = []
-        is_2q = state.is_2q
-        successors_of = state.dag.successors
-        executed = state.executed
-        for index in sorted(state.front):
-            for successor in successors_of(index):
-                if successor in executed:
-                    continue
-                if is_2q[successor] and successor not in upcoming:
-                    upcoming.append(successor)
-                    if len(upcoming) >= self.next_slice_size:
-                        return upcoming
-        return upcoming
-
-    def select_swap(self, state: RoutingState) -> tuple[int, int]:
-        candidates = state.candidate_swaps()
-        if not candidates:
-            raise RouterError("no candidate SWAPs available")
-        front = state.unresolved_front()
-        upcoming = self._next_slice(state)
-
+    def candidate_costs(
+        self, state: RoutingState, candidates: list[tuple[int, int]]
+    ) -> list[float]:
         distance = state.distance_rows()
-        phys_of = state.layout.phys_of
-        op_pairs = state.op_pairs
-        front_pairs = [
-            (phys_of[q1], phys_of[q2]) for q1, q2 in (op_pairs[i] for i in front)
-        ]
-        upcoming_pairs = [
-            (phys_of[q1], phys_of[q2]) for q1, q2 in (op_pairs[i] for i in upcoming)
-        ]
+        front_pairs = state.physical_pairs(state.unresolved_front())
+        upcoming_pairs = state.physical_pairs(
+            state.next_two_qubit_gates(self.next_slice_size)
+        )
         weight = self.next_slice_weight
-        last_swap = self._last_swap
-
-        best_cost = float("inf")
-        best: list[tuple[int, int]] = []
+        last_swap = state.last_swap
+        costs = []
         for candidate in candidates:
             a, b = candidate
             cost = float(swapped_distance_sum(front_pairs, a, b, distance))
@@ -102,10 +57,5 @@ class CirqLikeRouter(RoutingEngine):
                 cost += weight * distance[p1][p2]
             if candidate == last_swap:
                 cost += 0.5
-            if cost < best_cost - 1e-12:
-                best_cost = cost
-                best = [candidate]
-            elif abs(cost - best_cost) <= 1e-12:
-                best.append(candidate)
-        state.cost_evaluations += len(candidates)
-        return best[0] if len(best) == 1 else self._rng.choice(best)
+            costs.append(cost)
+        return costs

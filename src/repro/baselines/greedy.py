@@ -10,13 +10,7 @@ ablation study.
 from __future__ import annotations
 
 from repro.api.registry import register_router
-from repro.hardware.coupling import CouplingGraph
-from repro.routing.engine import (
-    RouterError,
-    RoutingEngine,
-    RoutingState,
-    swapped_distance_sum,
-)
+from repro.routing.engine import RoutingEngine, RoutingState, swapped_distance_sum
 
 
 @register_router(
@@ -29,45 +23,18 @@ class GreedyDistanceRouter(RoutingEngine):
 
     name = "greedy-distance"
 
-    def __init__(self, coupling: CouplingGraph, seed: int = 0):
-        super().__init__(coupling, seed)
-        self._last_swap: tuple[int, int] | None = None
-
-    def on_circuit_start(self, state: RoutingState) -> None:
-        self._last_swap = None
-
-    def on_gate_executed(self, state: RoutingState, index: int) -> None:
-        self._last_swap = None
-
-    def on_swap_applied(self, state: RoutingState, swap: tuple[int, int]) -> None:
-        self._last_swap = swap
-
-    def select_swap(self, state: RoutingState) -> tuple[int, int]:
-        candidates = state.candidate_swaps()
-        if not candidates:
-            raise RouterError("no candidate SWAPs available")
-        front = state.unresolved_front()
-
+    def candidate_costs(
+        self, state: RoutingState, candidates: list[tuple[int, int]]
+    ) -> list[float]:
         distance = state.distance_rows()
-        phys_of = state.layout.phys_of
-        op_pairs = state.op_pairs
-        front_pairs = [
-            (phys_of[q1], phys_of[q2]) for q1, q2 in (op_pairs[i] for i in front)
-        ]
-        last_swap = self._last_swap
-
-        best_cost = float("inf")
-        best: list[tuple[int, int]] = []
+        front_pairs = state.physical_pairs(state.unresolved_front())
+        last_swap = state.last_swap
+        costs = []
         for candidate in candidates:
             a, b = candidate
             cost = float(swapped_distance_sum(front_pairs, a, b, distance))
             if candidate == last_swap:
                 # Undoing the previous SWAP never makes progress; discourage it.
                 cost += 0.5
-            if cost < best_cost - 1e-12:
-                best_cost = cost
-                best = [candidate]
-            elif abs(cost - best_cost) <= 1e-12:
-                best.append(candidate)
-        state.cost_evaluations += len(candidates)
-        return best[0] if len(best) == 1 else self._rng.choice(best)
+            costs.append(cost)
+        return costs

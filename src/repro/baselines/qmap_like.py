@@ -286,30 +286,22 @@ class QmapLikeRouter(RoutingEngine):
                 counter += 1
         state.cost_evaluations += evaluations
         self.last_expanded_keys = trace
-        return self._greedy_fallback(state, pairs)
+        return self._greedy_fallback(state)
 
-    def _greedy_fallback(
-        self, state: RoutingState, pairs: list[tuple[int, int]]
-    ) -> tuple[int, int]:
+    def _greedy_fallback(self, state: RoutingState) -> tuple[int, int]:
         """Fallback: the SWAP minimising the summed distance of the front pairs.
 
-        Deterministic: candidates are scanned in sorted order and only a
-        strictly smaller cost replaces the incumbent, so ties resolve to the
-        lexicographically first edge on every run.
+        Deterministic: ``min`` keeps the first of equal costs in the sorted
+        candidate order, so ties resolve to the lexicographically first edge
+        on every run.
         """
         candidates = state.candidate_swaps()
         if not candidates:
             raise RouterError("no candidate SWAPs available")
         distance = state.distance_rows()
-        phys_of = state.layout.phys_of
-        front_pairs = [(phys_of[q1], phys_of[q2]) for q1, q2 in pairs]
-        best_cost = float("inf")
-        best = candidates[0]
-        for candidate in candidates:
-            a, b = candidate
-            cost = float(swapped_distance_sum(front_pairs, a, b, distance))
-            if cost < best_cost:
-                best_cost = cost
-                best = candidate
+        front_pairs = state.physical_pairs(state.unresolved_front())
         state.cost_evaluations += len(candidates)
-        return best
+        return min(
+            candidates,
+            key=lambda swap: swapped_distance_sum(front_pairs, swap[0], swap[1], distance),
+        )

@@ -9,9 +9,10 @@ candidate SWAPs with the cost::
 
 where ``W < 1`` weighs the look-ahead contribution and the decay factor
 discourages thrashing the same qubit.  ``LightSabreRouter`` uses the same
-cost with the release-valve behaviour of the Qiskit implementation (when the
-same front gate stays blocked for too long, SWAPs are forced along its
-shortest path) which keeps runtimes low on adversarial instances.
+cost with the engine's release valve switched on, as in the Qiskit
+implementation (after too many SWAPs without progress, SWAPs are forced
+along the shortest path of the closest blocked front gate), which keeps
+runtimes low on adversarial instances.
 
 The cost loop works on per-stall precomputed physical operand pairs and the
 flat distance table's row views; no tentative layout is materialised per
@@ -24,12 +25,7 @@ from __future__ import annotations
 from repro.api.registry import register_router
 from repro.hardware.coupling import CouplingGraph
 from repro.routing.decay import DecayTable
-from repro.routing.engine import (
-    RouterError,
-    RoutingEngine,
-    RoutingState,
-    swapped_distance_sum,
-)
+from repro.routing.engine import RoutingEngine, RoutingState, swapped_distance_sum
 
 
 @register_router(
@@ -47,23 +43,18 @@ class SabreRouter(RoutingEngine):
     extended_set_weight = 0.5
     #: Additive decay penalty per SWAP on a qubit.
     decay_increment = 0.001
-    #: Number of consecutive SWAPs without progress before the release valve opens.
-    release_valve_threshold = 0
 
     def __init__(self, coupling: CouplingGraph, seed: int = 0):
         super().__init__(coupling, seed)
         self._decay = DecayTable(0, self.decay_increment)
-        self._stall_counter = 0
 
     # -- hooks -------------------------------------------------------------
 
     def on_circuit_start(self, state: RoutingState) -> None:
         self._decay = DecayTable(state.circuit.num_qubits, self.decay_increment)
-        self._stall_counter = 0
 
     def on_gate_executed(self, state: RoutingState, index: int) -> None:
         self._decay.reset_all()
-        self._stall_counter = 0
 
     def on_swap_applied(self, state: RoutingState, swap: tuple[int, int]) -> None:
         logical_at = state.layout.logical_at
@@ -71,7 +62,6 @@ class SabreRouter(RoutingEngine):
             logical = logical_at[physical]
             if logical is not None:
                 self._decay.bump(logical)
-        self._stall_counter += 1
 
     # -- cost --------------------------------------------------------------
 
@@ -94,47 +84,25 @@ class SabreRouter(RoutingEngine):
                     if is_2q[successor]:
                         extended.append(successor)
                         if len(extended) >= self.extended_set_size:
-                            break
-                if len(extended) >= self.extended_set_size:
-                    break
+                            return extended
             frontier = next_frontier
         return extended
 
-    def select_swap(self, state: RoutingState) -> tuple[int, int]:
+    def candidate_costs(
+        self, state: RoutingState, candidates: list[tuple[int, int]]
+    ) -> list[float]:
         front = state.unresolved_front()
-        if not front:
-            raise RouterError("sabre stalled with no unresolved front gates")
-
-        if (
-            self.release_valve_threshold
-            and self._stall_counter >= self.release_valve_threshold
-        ):
-            return self._release_valve_swap(state, front)
-
-        candidates = state.candidate_swaps()
-        if not candidates:
-            raise RouterError("no candidate SWAPs available")
         extended = self._extended_set(state)
-
         distance = state.distance_rows()
-        phys_of = state.layout.phys_of
         logical_at = state.layout.logical_at
-        op_pairs = state.op_pairs
-        front_pairs = [
-            (phys_of[q1], phys_of[q2]) for q1, q2 in (op_pairs[i] for i in front)
-        ]
-        extended_pairs = [
-            (phys_of[q1], phys_of[q2]) for q1, q2 in (op_pairs[i] for i in extended)
-        ]
+        front_pairs = state.physical_pairs(front)
+        extended_pairs = state.physical_pairs(extended)
         front_size = len(front)
         extended_size = len(extended)
         weight = self.extended_set_weight
         decay_get = self._decay.get
-
-        best_cost = float("inf")
-        best: list[tuple[int, int]] = []
-        for candidate in candidates:
-            a, b = candidate
+        costs = []
+        for a, b in candidates:
             front_cost = swapped_distance_sum(front_pairs, a, b, distance) / front_size
             extended_cost = 0.0
             if extended_size:
@@ -146,25 +114,8 @@ class SabreRouter(RoutingEngine):
             decay_a = decay_get(logical_at[a], 1.0)
             decay_b = decay_get(logical_at[b], 1.0)
             max_decay = decay_a if decay_a >= decay_b else decay_b
-            cost = max_decay * (front_cost + extended_cost)
-            if cost < best_cost - 1e-12:
-                best_cost = cost
-                best = [candidate]
-            elif abs(cost - best_cost) <= 1e-12:
-                best.append(candidate)
-        state.cost_evaluations += len(candidates)
-        return best[0] if len(best) == 1 else self._rng.choice(best)
-
-    def _release_valve_swap(
-        self, state: RoutingState, front: list[int]
-    ) -> tuple[int, int]:
-        """Force a SWAP along the shortest path of the most blocked front gate."""
-        target = min(front, key=lambda index: state.gate_distance(index))
-        q1, q2 = state.op_pairs[target]
-        p1 = state.layout.phys_of[q1]
-        p2 = state.layout.phys_of[q2]
-        path = self.coupling.shortest_path(p1, p2)
-        return (min(path[0], path[1]), max(path[0], path[1]))
+            costs.append(max_decay * (front_cost + extended_cost))
+        return costs
 
 
 @register_router(

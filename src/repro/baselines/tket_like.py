@@ -9,8 +9,7 @@ reimplements that minimax cost family on the shared routing engine.
 from __future__ import annotations
 
 from repro.api.registry import register_router
-from repro.hardware.coupling import CouplingGraph
-from repro.routing.engine import RouterError, RoutingEngine, RoutingState
+from repro.routing.engine import RoutingEngine, RoutingState, swapped_distance_sum
 
 
 @register_router(
@@ -28,61 +27,31 @@ class TketLikeRouter(RoutingEngine):
     #: Weight of the look-ahead contribution in the tie-breaking sum.
     lookahead_weight = 0.25
 
-    def __init__(self, coupling: CouplingGraph, seed: int = 0):
-        super().__init__(coupling, seed)
-        self._last_swap: tuple[int, int] | None = None
+    def candidate_costs(
+        self, state: RoutingState, candidates: list[tuple[int, int]]
+    ) -> list[float]:
+        """The lexicographic rule (longest front distance, then total) as costs.
 
-    def on_circuit_start(self, state: RoutingState) -> None:
-        self._last_swap = None
-
-    def on_gate_executed(self, state: RoutingState, index: int) -> None:
-        self._last_swap = None
-
-    def on_swap_applied(self, state: RoutingState, swap: tuple[int, int]) -> None:
-        self._last_swap = swap
-
-    def _upcoming(self, state: RoutingState) -> list[int]:
-        upcoming: list[int] = []
-        is_2q = state.is_2q
-        successors_of = state.dag.successors
-        executed = state.executed
-        for index in sorted(state.front):
-            for successor in successors_of(index):
-                if successor in executed:
-                    continue
-                if is_2q[successor] and successor not in upcoming:
-                    upcoming.append(successor)
-                    if len(upcoming) >= self.lookahead_size:
-                        return upcoming
-        return upcoming
-
-    def select_swap(self, state: RoutingState) -> tuple[int, int]:
-        candidates = state.candidate_swaps()
-        if not candidates:
-            raise RouterError("no candidate SWAPs available")
-        front = state.unresolved_front()
-        upcoming = self._upcoming(state)
-
-        # The minimax cost compares individual terms, so the transposition
-        # stays inline here rather than using swapped_distance_sum.
+        Candidates reaching the smallest longest distance cost their total;
+        the rest cost ``inf``.  Totals are sums of integers and multiples of
+        0.25, exact in any summation order, so the engine's tie tolerance
+        only ever merges equal totals.
+        """
         distance = state.distance_rows()
-        phys_of = state.layout.phys_of
-        op_pairs = state.op_pairs
-        front_pairs = [
-            (phys_of[q1], phys_of[q2]) for q1, q2 in (op_pairs[i] for i in front)
-        ]
-        upcoming_pairs = [
-            (phys_of[q1], phys_of[q2]) for q1, q2 in (op_pairs[i] for i in upcoming)
-        ]
+        front_pairs = state.physical_pairs(state.unresolved_front())
+        upcoming_pairs = state.physical_pairs(
+            state.next_two_qubit_gates(self.lookahead_size)
+        )
         weight = self.lookahead_weight
-        last_swap = self._last_swap
-
-        best_key: tuple[float, float] | None = None
-        best: list[tuple[int, int]] = []
+        last_swap = state.last_swap
+        longests = []
+        totals = []
         for candidate in candidates:
             a, b = candidate
             longest = 0
             total = 0.0
+            # The minimax term needs each front distance, so this transposition
+            # stays inline rather than using swapped_distance_sum.
             for p1, p2 in front_pairs:
                 if p1 == a:
                     p1 = b
@@ -96,23 +65,13 @@ class TketLikeRouter(RoutingEngine):
                 if d > longest:
                     longest = d
                 total += d
-            for p1, p2 in upcoming_pairs:
-                if p1 == a:
-                    p1 = b
-                elif p1 == b:
-                    p1 = a
-                if p2 == a:
-                    p2 = b
-                elif p2 == b:
-                    p2 = a
-                total += weight * distance[p1][p2]
+            total += weight * swapped_distance_sum(upcoming_pairs, a, b, distance)
             if candidate == last_swap:
                 total += 0.5
-            key = (float(longest), total)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = [candidate]
-            elif key == best_key:
-                best.append(candidate)
-        state.cost_evaluations += len(candidates)
-        return best[0] if len(best) == 1 else self._rng.choice(best)
+            longests.append(longest)
+            totals.append(total)
+        bound = min(longests)
+        return [
+            total if longest == bound else float("inf")
+            for longest, total in zip(longests, totals)
+        ]

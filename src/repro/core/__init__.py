@@ -23,7 +23,6 @@ This package holds the pieces that request names:
 """
 
 from repro.core.config import QlosureConfig
-from repro.core.cost import swap_cost
 from repro.core.lookahead import LookaheadWindow, build_lookahead
 from repro.core.router import QlosureRouter
 from repro.core.bidirectional import bidirectional_initial_layout
@@ -32,7 +31,6 @@ from repro.core.error_aware import ErrorAwareQlosureRouter, map_circuit_error_aw
 
 __all__ = [
     "QlosureConfig",
-    "swap_cost",
     "LookaheadWindow",
     "build_lookahead",
     "QlosureRouter",

@@ -30,19 +30,6 @@ from repro.core.lookahead import LookaheadWindow
 from repro.routing.engine import RoutingState
 
 
-def tentative_physical(
-    state: RoutingState, logical: int, swap: tuple[int, int]
-) -> int:
-    """Physical location of ``logical`` under the tentative mapping ``phi o s``."""
-    current = state.layout.phys_of[logical]
-    p1, p2 = swap
-    if current == p1:
-        return p2
-    if current == p2:
-        return p1
-    return current
-
-
 class WindowScorer:
     """Incremental evaluator of ``M(s)`` over a fixed look-ahead window."""
 
@@ -132,19 +119,3 @@ class WindowScorer:
         d2 = decay_get(logical_at[p2], 1.0)
         return (d1 if d1 >= d2 else d2) * layer_sum
 
-
-def swap_cost(
-    state: RoutingState,
-    swap: tuple[int, int],
-    window: LookaheadWindow,
-    weights: Mapping[int, int],
-    decay,
-    config: QlosureConfig,
-) -> float:
-    """Evaluate the composite cost ``M(s)`` of a single candidate SWAP.
-
-    Convenience wrapper over :class:`WindowScorer` for callers scoring one
-    candidate at a time (tests, documentation examples); the router uses a
-    shared scorer per stall for efficiency.
-    """
-    return WindowScorer(state, window, weights, decay, config).score(swap)

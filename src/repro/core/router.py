@@ -2,21 +2,21 @@
 
 The router plugs the dependence-driven cost function into the shared
 execute-or-swap loop: at every stall it rebuilds the layered look-ahead
-window, scores every candidate SWAP with ``M(s)`` and commits the cheapest
-one (ties broken at random), updating the SABRE-style decay values.
+window and prices every candidate SWAP with ``M(s)``; the engine commits the
+cheapest one (ties broken at random), and the router updates the SABRE-style
+decay values.
 """
 
 from __future__ import annotations
 
 from repro.affine.dependence import DependenceAnalysis
 from repro.api.registry import register_router
-from repro.circuit.circuit import QuantumCircuit
 from repro.core.config import QlosureConfig
 from repro.core.cost import WindowScorer
 from repro.core.lookahead import build_lookahead
 from repro.hardware.coupling import CouplingGraph
 from repro.routing.decay import DecayTable
-from repro.routing.engine import RouterError, RoutingEngine, RoutingState
+from repro.routing.engine import RoutingEngine, RoutingState
 
 
 @register_router(
@@ -29,6 +29,12 @@ class QlosureRouter(RoutingEngine):
     """Dependence-driven SWAP insertion using the ``M(s)`` cost function."""
 
     name = "qlosure"
+
+    #: Decay bumps both qubits of a SWAP equally, so it cannot break a
+    #: SWAP cycle over several blocked front gates; the release valve does.
+    #: Routes that terminate without it commit at most 135 SWAPs in a row
+    #: without progress (QUEKO on sherbrooke-2x; 41 on the e2ebench sets).
+    release_valve_threshold = 300
 
     def __init__(
         self,
@@ -62,8 +68,7 @@ class QlosureRouter(RoutingEngine):
 
     def on_gate_executed(self, state: RoutingState, index: int) -> None:
         """Reset decay values after a successful two-qubit gate execution."""
-        if self.config.decay_reset_on_execute:
-            self._decay.reset_all()
+        self._decay.reset_all()
 
     def on_swap_applied(self, state: RoutingState, swap: tuple[int, int]) -> None:
         """Penalise the logical qubits that were just moved."""
@@ -73,13 +78,12 @@ class QlosureRouter(RoutingEngine):
             if logical is not None:
                 self._decay.bump(logical)
 
-    # -- SWAP selection ------------------------------------------------------------
+    # -- SWAP pricing --------------------------------------------------------------
 
-    def select_swap(self, state: RoutingState) -> tuple[int, int]:
-        """Score every candidate SWAP with ``M(s)`` and return the cheapest."""
-        candidates = state.candidate_swaps()
-        if not candidates:
-            raise RouterError("no candidate SWAPs available (disconnected front layer?)")
+    def candidate_costs(
+        self, state: RoutingState, candidates: list[tuple[int, int]]
+    ) -> list[float]:
+        """Score every candidate SWAP with ``M(s)``."""
         signature = state.front_signature()
         if signature != self._window_signature:
             self._window = build_lookahead(
@@ -91,23 +95,5 @@ class QlosureRouter(RoutingEngine):
             self._window_signature = signature
         else:
             state.heuristic_cache_hits += 1
-        window = self._window
-        scorer = WindowScorer(state, window, self._weights, self._decay, self.config)
-        score = scorer.score
-        best_cost = float("inf")
-        best: list[tuple[int, int]] = []
-        for candidate in candidates:
-            cost = score(candidate)
-            if cost < best_cost - 1e-12:
-                best_cost = cost
-                best = [candidate]
-            elif abs(cost - best_cost) <= 1e-12:
-                best.append(candidate)
-        state.cost_evaluations += len(candidates)
-        return best[0] if len(best) == 1 else self._rng.choice(best)
-
-    # -- convenience ------------------------------------------------------------------
-
-    def route(self, circuit: QuantumCircuit, initial_layout=None):
-        """Alias of :meth:`run` using routing terminology."""
-        return self.run(circuit, initial_layout)
+        score = WindowScorer(state, self._window, self._weights, self._decay, self.config).score
+        return [score(candidate) for candidate in candidates]

@@ -9,10 +9,10 @@ when no gate can make progress.  This subpackage provides that skeleton:
   logical-to-physical qubit assignment,
 * :class:`~repro.routing.result.RoutingResult` -- the routed circuit plus
   bookkeeping (layouts, SWAP count, depth, runtime),
-* :class:`~repro.routing.engine.RoutingEngine` -- the traversal loop that
-  concrete routers (Qlosure, SABRE, the distance-only ablation router, the
-  Cirq/tket-style time-sliced routers) specialise by overriding the SWAP
-  selection hook.
+* :class:`~repro.routing.engine.RoutingEngine` -- the traversal loop and its
+  one SWAP-selection step; concrete routers (Qlosure, SABRE, the
+  distance-only ablation router, the Cirq/tket-style time-sliced routers)
+  specialise it by pricing candidate SWAPs.
 """
 
 from repro.routing.layout import Layout

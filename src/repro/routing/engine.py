@@ -5,12 +5,26 @@ outer loop, which matches Algorithm 1 of the paper:
 
 1. gates whose dependences are satisfied and whose operands are adjacent
    under the current layout are executed immediately;
-2. when no gate can be executed, the router-specific heuristic picks one
-   SWAP, which is applied to the layout and appended to the output circuit;
+2. when no gate can be executed, one SWAP is selected, applied to the layout
+   and appended to the output circuit;
 3. repeat until every gate has been executed.
 
-Concrete routers override :meth:`RoutingEngine.select_swap` (and optionally
-the execution hooks) to implement their SWAP-selection policy.
+SWAP selection
+--------------
+
+:meth:`RoutingEngine.select_swap` is the one place a SWAP is chosen: it
+prices every candidate with the router's
+:meth:`RoutingEngine.candidate_costs`, commits the cheapest, breaks ties
+(costs within :data:`TIE_TOLERANCE`) on the engine's seeded RNG and counts
+the candidates in ``state.cost_evaluations``.  Routers implement
+``candidate_costs``; search routers such as the QMAP-style A* override
+``select_swap`` instead.  The engine keeps ``state.last_swap`` (the SWAP
+committed last) and ``state.swaps_since_progress`` (SWAPs since the last
+two-qubit gate executed); executing a two-qubit gate clears both.  Once
+``swaps_since_progress`` reaches :attr:`RoutingEngine.release_valve_threshold`
+(0 = off), LightSABRE's release valve (Zou et al., 2024) forces SWAPs along
+the shortest path of the closest blocked front gate until a gate executes,
+which breaks SWAP cycles a cost function cannot escape.
 
 Incremental-state contract
 --------------------------
@@ -31,8 +45,8 @@ on every query.  Heuristics plugged into the engine must respect three rules:
   :meth:`RoutingState.note_swap_applied`.  A heuristic that speculatively
   mutates ``state.layout`` must call :meth:`RoutingState.mark_front_dirty`
   afterwards -- better, it should score tentative placements arithmetically
-  (see :func:`repro.core.cost.tentative_physical`) and never touch the
-  shared layout at all.
+  (see :func:`swapped_distance_sum`) and never touch the shared layout at
+  all.
 * **Precomputed operand arrays.**  ``state.op_pairs[i]`` holds the two
   qubit operands of gate ``i`` (``None`` for single-qubit gates and
   barriers) and ``state.is_2q[i]`` flags exactly-two-qubit gates; cost loops
@@ -66,6 +80,10 @@ from repro.hardware.coupling import CouplingGraph
 from repro.obs.trace import current_tracer
 from repro.routing.layout import Layout
 from repro.routing.result import RoutingResult
+
+
+#: Costs within this distance of the running best are ties (broken on the RNG).
+TIE_TOLERANCE = 1e-12
 
 
 class RouterError(RuntimeError):
@@ -110,6 +128,9 @@ class RoutingState:
     front: set[int] = field(default_factory=set)
     executed: set[int] = field(default_factory=set)
     emitted: list[Gate] = field(default_factory=list)
+    #: The SWAP committed last; ``None`` once a two-qubit gate executes.
+    last_swap: tuple[int, int] | None = None
+    #: SWAPs committed since the last two-qubit gate executed.
     swaps_since_progress: int = 0
     cost_evaluations: int = 0
 
@@ -292,11 +313,31 @@ class RoutingState:
         distance = self.distance
         return getattr(distance, "rows", distance)
 
-    def gate_distance(self, index: int, layout: Layout | None = None) -> int:
+    def physical_pairs(self, indices) -> list[tuple[int, int]]:
+        """Current physical operand pairs of the two-qubit gates ``indices``."""
+        phys_of = self.layout.phys_of
+        op_pairs = self.op_pairs
+        return [(phys_of[q1], phys_of[q2]) for q1, q2 in (op_pairs[i] for i in indices)]
+
+    def next_two_qubit_gates(self, limit: int) -> list[int]:
+        """Up to ``limit`` unexecuted two-qubit successors of the front layer
+        (the next time slice), front gates visited in index order."""
+        upcoming: list[int] = []
+        is_2q = self.is_2q
+        executed = self.executed
+        for index in sorted(self.front):
+            for successor in self.dag.successors(index):
+                if is_2q[successor] and successor not in executed and successor not in upcoming:
+                    upcoming.append(successor)
+                    if len(upcoming) >= limit:
+                        return upcoming
+        return upcoming
+
+    def gate_distance(self, index: int) -> int:
         """Distance between the physical operands of a two-qubit gate."""
-        layout = layout or self.layout
         q1, q2 = self.op_pairs[index]
-        return self.distance[layout.phys_of[q1]][layout.phys_of[q2]]
+        phys_of = self.layout.phys_of
+        return self.distance[phys_of[q1]][phys_of[q2]]
 
 
 class RoutingEngine:
@@ -304,6 +345,9 @@ class RoutingEngine:
 
     #: Human-readable router name used in results and benchmark tables.
     name = "base-router"
+    #: Consecutive SWAPs without a two-qubit gate executing before the release
+    #: valve opens (0 = never).
+    release_valve_threshold = 0
 
     def __init__(self, coupling: CouplingGraph, seed: int = 0):
         if not coupling.is_connected():
@@ -314,9 +358,39 @@ class RoutingEngine:
 
     # -- router-specific policy ------------------------------------------------
 
+    def candidate_costs(
+        self, state: RoutingState, candidates: list[tuple[int, int]]
+    ) -> Sequence[float]:
+        """One cost per candidate SWAP (same order); the cheapest is committed."""
+        raise NotImplementedError
+
     def select_swap(self, state: RoutingState) -> tuple[int, int]:
         """Pick the SWAP (physical qubit pair) to apply when no gate is executable."""
-        raise NotImplementedError
+        if 0 < self.release_valve_threshold <= state.swaps_since_progress:
+            return self._release_valve_swap(state)
+        candidates = state.candidate_swaps()
+        if not candidates:
+            raise RouterError(f"{self.name}: no candidate SWAPs available")
+        best_cost = float("inf")
+        best: list[tuple[int, int]] = []
+        for candidate, cost in zip(candidates, self.candidate_costs(state, candidates)):
+            if cost < best_cost - TIE_TOLERANCE:
+                best_cost = cost
+                best = [candidate]
+            elif abs(cost - best_cost) <= TIE_TOLERANCE:
+                best.append(candidate)
+        state.cost_evaluations += len(candidates)
+        return best[0] if len(best) == 1 else self._rng.choice(best)
+
+    def _release_valve_swap(self, state: RoutingState) -> tuple[int, int]:
+        """Force a SWAP along the shortest path of the closest blocked front gate."""
+        front = state.unresolved_front()
+        if not front:
+            raise RouterError(f"{self.name} stalled with no unresolved front gates")
+        target = min(front, key=state.gate_distance)
+        p1, p2 = state.physical_pairs((target,))[0]
+        path = self.coupling.shortest_path(p1, p2)
+        return (min(path[0], path[1]), max(path[0], path[1]))
 
     def on_circuit_start(self, state: RoutingState) -> None:
         """Hook called once before routing starts (pre-computation)."""
@@ -434,6 +508,8 @@ class RoutingEngine:
                 self._emit_gate(state, index)
                 self._retire(state, index)
                 if state.is_2q[index]:
+                    state.last_swap = None
+                    state.swaps_since_progress = 0
                     self.on_gate_executed(state, index)
                 ready = True
                 progressed = True
@@ -463,4 +539,6 @@ class RoutingEngine:
         state.layout.swap_physical(p1, p2)
         state.emitted.append(Gate("swap", (p1, p2)))
         state.note_swap_applied(p1, p2)
+        state.last_swap = swap
+        state.swaps_since_progress += 1
         self.on_swap_applied(state, swap)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.config import QlosureConfig
-from repro.core.cost import WindowScorer, swap_cost, tentative_physical
+from repro.core.cost import WindowScorer
 from repro.core.lookahead import LookaheadWindow, build_lookahead
 from repro.hardware.topologies import line_topology
 
@@ -19,49 +19,42 @@ def blocked_cnot_state(num_qubits: int = 5):
     return make_state(circuit, device)
 
 
-class TestTentativePhysical:
-    def test_swapped_qubits_move(self):
-        state = blocked_cnot_state()
-        assert tentative_physical(state, 0, (0, 1)) == 1
-        assert tentative_physical(state, 1, (0, 1)) == 0
-
-    def test_untouched_qubits_stay(self):
-        state = blocked_cnot_state()
-        assert tentative_physical(state, 3, (0, 1)) == 3
-
-
 class TestSwapCost:
     def test_helpful_swap_scores_lower(self):
         state = blocked_cnot_state()
         window = build_lookahead(state, lookahead_constant=3)
         config = QlosureConfig(use_decay=False)
         weights = {0: 5}
-        helpful = swap_cost(state, (0, 1), window, weights, {}, config)
-        useless = swap_cost(state, (1, 2), window, weights, {}, config)
+        helpful = WindowScorer(state, window, weights, {}, config).score((0, 1))
+        useless = WindowScorer(state, window, weights, {}, config).score((1, 2))
         assert helpful < useless
 
     def test_weights_scale_contribution(self):
         state = blocked_cnot_state()
         window = build_lookahead(state, lookahead_constant=3)
         config = QlosureConfig(use_decay=False)
-        low = swap_cost(state, (1, 2), window, {0: 1}, {}, config)
-        high = swap_cost(state, (1, 2), window, {0: 10}, {}, config)
+        low = WindowScorer(state, window, {0: 1}, {}, config).score((1, 2))
+        high = WindowScorer(state, window, {0: 10}, {}, config).score((1, 2))
         assert high == pytest.approx(10 * low)
 
     def test_weights_ignored_when_disabled(self):
         state = blocked_cnot_state()
         window = build_lookahead(state, lookahead_constant=3)
         config = QlosureConfig(use_decay=False, use_dependence_weights=False)
-        a = swap_cost(state, (1, 2), window, {0: 1}, {}, config)
-        b = swap_cost(state, (1, 2), window, {0: 10}, {}, config)
+        a = WindowScorer(state, window, {0: 1}, {}, config).score((1, 2))
+        b = WindowScorer(state, window, {0: 10}, {}, config).score((1, 2))
         assert a == pytest.approx(b)
 
     def test_decay_multiplies_score(self):
         state = blocked_cnot_state()
         window = build_lookahead(state, lookahead_constant=3)
         config = QlosureConfig(use_decay=True)
-        without_decay = swap_cost(state, (0, 1), window, {0: 1}, {0: 1.0, 1: 1.0}, config)
-        with_decay = swap_cost(state, (0, 1), window, {0: 1}, {0: 1.5, 1: 1.0}, config)
+        without_decay = WindowScorer(
+            state, window, {0: 1}, {0: 1.0, 1: 1.0}, config
+        ).score((0, 1))
+        with_decay = WindowScorer(
+            state, window, {0: 1}, {0: 1.5, 1: 1.0}, config
+        ).score((0, 1))
         assert with_decay == pytest.approx(1.5 * without_decay)
 
     def test_decay_of_unoccupied_location_defaults_to_one(self):
@@ -72,7 +65,8 @@ class TestSwapCost:
         window = build_lookahead(state, lookahead_constant=3)
         config = QlosureConfig(use_decay=True)
         # Physical qubit 3 hosts no logical qubit.
-        cost = swap_cost(state, (2, 3), window, {0: 1}, {0: 2.0, 1: 2.0, 2: 2.0}, config)
+        decay = {0: 2.0, 1: 2.0, 2: 2.0}
+        cost = WindowScorer(state, window, {0: 1}, decay, config).score((2, 3))
         assert cost > 0
 
 
@@ -127,7 +121,7 @@ class TestWindowScorer:
         config = QlosureConfig()
         scorer = WindowScorer(state, window, weights, decay, config)
         for candidate in state.candidate_swaps():
-            direct = swap_cost(state, candidate, window, weights, decay, config)
+            direct = WindowScorer(state, window, weights, decay, config).score(candidate)
             assert scorer.score(candidate) == pytest.approx(direct)
 
     def test_unrelated_swap_keeps_base_score(self):

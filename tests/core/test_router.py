@@ -2,6 +2,7 @@
 
 from repro.api import CompileRequest, compile as api_compile
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
+from repro.benchgen.queko import queko_dataset
 from repro.benchgen.random_circuits import random_circuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.validation import verify_routing
@@ -100,6 +101,27 @@ class TestPipeline:
             validation="full",
         )
         assert result.swaps_added >= 0
+
+
+class TestReleaseValve:
+    def test_queko_swap_cycle_is_escaped(self):
+        """Regression: qlosure used to cycle SWAPs over four blocked front
+        gates on this instance until it ran out of SWAP budget."""
+        circuit = queko_dataset(
+            "54qbt", depths=[35], circuits_per_depth=1, seed=47
+        )[0].circuit
+        result = api_compile(
+            CompileRequest(
+                circuit=circuit,
+                backend="sherbrooke",
+                router="qlosure",
+                seed=47,
+                validation="full",
+            ),
+            cache=False,
+        )
+        assert result.swaps_added == 1253
+        assert result.routed_depth == 419
 
 
 class TestBidirectional:

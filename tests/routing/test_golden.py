@@ -4,7 +4,9 @@ Routing in this repository is bit-for-bit deterministic per seed, and the
 performance work on the hot paths (incremental A*, bitset dependence
 weights) relies on that invariant: a perf-only change must reproduce the
 exact SWAP sequence of the snapshot.  This suite pins, for every router in
-the registry and two small pinned circuits (one QUEKO, one QASMBench), the
+the registry and three pinned cases (a small QUEKO and a QASMBench circuit on
+a 5x5 grid, plus the first perf-smoke QUEKO instance on Sherbrooke, which
+makes LightSABRE's release valve fire), the
 
 * SHA-256 hash of the ordered SWAP sequence (physical qubit pairs),
 * SHA-256 hash of the full emitted gate sequence,
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -38,7 +41,9 @@ import pytest
 from repro.api import CompileRequest, compile as api_compile, router_names
 from repro.benchgen.qasmbench import qft_circuit
 from repro.benchgen.queko import generate_queko_circuit
+from repro.hardware.backends import sherbrooke
 from repro.hardware.topologies import grid_topology
+from repro.routing.engine import RoutingEngine
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "data" / "golden"
 
@@ -46,21 +51,23 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "data" / "golden"
 GOLDEN_SEED = 0
 
 
-def golden_circuits():
-    """The two pinned snapshot circuits: one QUEKO, one QASMBench."""
+@lru_cache(maxsize=None)
+def golden_cases():
+    """The pinned snapshot cases: name -> (circuit, backend name, backend)."""
+    grid = grid_topology(5, 5)
     queko = generate_queko_circuit(
         grid_topology(4, 4), depth=8, seed=11, name="golden-queko-4x4-d8"
     ).circuit
-    qft = qft_circuit(8)
+    # The first instance of the perf-smoke fixture (repro.analysis.perf_trajectory).
+    smoke = generate_queko_circuit(
+        grid_topology(6, 9, name="sycamore-54-grid"), depth=5, seed=5 * 37,
+        name="perf-smoke-d5-0",
+    ).circuit
     return {
-        "queko-4x4-d8": queko,
-        "qasmbench-qft8": qft,
+        "queko-4x4-d8": (queko, "grid-5x5", grid),
+        "qasmbench-qft8": (qft_circuit(8), "grid-5x5", grid),
+        "perf-smoke-d5-0": (smoke, "sherbrooke", sherbrooke()),
     }
-
-
-def golden_backend():
-    """The pinned snapshot device (5x5 grid; every circuit fits)."""
-    return grid_topology(5, 5)
 
 
 def _sequence_hash(items) -> str:
@@ -70,12 +77,13 @@ def _sequence_hash(items) -> str:
     return digest.hexdigest()
 
 
-def route_snapshot(circuit, router: str) -> dict:
-    """Route ``circuit`` with ``router`` and summarise the routed output."""
+def route_snapshot(case_name: str, router: str) -> dict:
+    """Route the pinned case with ``router`` and summarise the routed output."""
+    circuit, _, backend = golden_cases()[case_name]
     result = api_compile(
         CompileRequest(
             circuit=circuit,
-            backend=golden_backend(),
+            backend=backend,
             router=router,
             seed=GOLDEN_SEED,
         )
@@ -92,14 +100,13 @@ def route_snapshot(circuit, router: str) -> dict:
     }
 
 
-def build_golden_record(circuit_name: str) -> dict:
-    circuit = golden_circuits()[circuit_name]
+def build_golden_record(case_name: str) -> dict:
     return {
-        "circuit": circuit_name,
-        "backend": "grid-5x5",
+        "circuit": case_name,
+        "backend": golden_cases()[case_name][1],
         "seed": GOLDEN_SEED,
         "routers": {
-            router: route_snapshot(circuit, router)
+            router: route_snapshot(case_name, router)
             for router in sorted(router_names())
         },
     }
@@ -115,7 +122,7 @@ def load_golden(circuit_name: str) -> dict:
     return json.loads(path.read_text())
 
 
-CIRCUIT_NAMES = sorted(golden_circuits())
+CIRCUIT_NAMES = sorted(golden_cases())
 
 
 @pytest.mark.parametrize("circuit_name", CIRCUIT_NAMES)
@@ -131,7 +138,7 @@ def test_routed_output_matches_golden(circuit_name, router):
     golden = load_golden(circuit_name)["routers"].get(router)
     if golden is None:
         pytest.fail(f"router {router!r} missing from golden {circuit_name}")
-    snapshot = route_snapshot(golden_circuits()[circuit_name], router)
+    snapshot = route_snapshot(circuit_name, router)
     assert snapshot == golden, (
         f"{router} routed output diverged from the golden snapshot on "
         f"{circuit_name}: {snapshot} != {golden}.  If this change is an "
@@ -139,6 +146,24 @@ def test_routed_output_matches_golden(circuit_name, router):
         "(see the module docstring); a performance-only change must not "
         "get here."
     )
+
+
+def test_release_valve_fires_on_the_perf_smoke_case(monkeypatch):
+    """The perf-smoke snapshot pins LightSABRE's release valve, not only its cost."""
+    fired = []
+    release = RoutingEngine._release_valve_swap
+
+    def counting_release(self, state):
+        fired.append(self.name)
+        return release(self, state)
+
+    monkeypatch.setattr(RoutingEngine, "_release_valve_swap", counting_release)
+    circuit, _, backend = golden_cases()["perf-smoke-d5-0"]
+    api_compile(
+        CompileRequest(circuit=circuit, backend=backend, router="lightsabre", seed=GOLDEN_SEED),
+        cache=False,
+    )
+    assert fired and set(fired) == {"lightsabre"}
 
 
 def update_golden() -> None:
