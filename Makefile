@@ -15,10 +15,14 @@ test-fast:
 ## routed outputs under tests/data/golden/ (the required gate for hot-path
 ## changes; regen via tests/routing/test_golden.py --update-golden), plus the
 ## shared SWAP-selection loop (argmin, tie-breaking, stall facts, release
-## valve) and the baseline routers that price candidates through it.
+## valve), the baseline routers that price candidates through it, and the
+## state Qlosure keeps across SWAPs: the long-lived window scorer against a
+## fresh build at every stall (bit for bit) and the look-ahead window against
+## its reference implementation on random partially executed circuits.
 test-golden:
 	$(PYTHON) -m pytest tests/routing/test_golden.py tests/routing/test_engine.py \
-		tests/baselines/test_baselines.py -q
+		tests/baselines/test_baselines.py tests/core/test_scorer_incremental.py \
+		tests/core/test_cost.py tests/core/test_lookahead.py -q
 
 ## Compile-cache battery: serialization round-trip exactness (golden-hash
 ## oracle), fingerprint sensitivity, warm-vs-cold bit-for-bit determinism and

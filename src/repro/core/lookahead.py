@@ -67,63 +67,45 @@ def build_lookahead(
     is one plus the maximum layer of its in-window predecessors.
     """
     is_2q = state.is_2q
-    front_two_qubit = [index for index in sorted(state.front) if is_2q[index]]
+    front = sorted(state.front)
+    front_two_qubit = [index for index in front if is_2q[index]]
     if front_only or not front_two_qubit:
         return LookaheadWindow([front_two_qubit] if front_two_qubit else [])
 
     target = window_size(state, lookahead_constant, cap)
-    level: dict[int, int] = {}
-    in_window: set[int] = set()
-    collected_two_qubit = 0
-
     # Seed with every unexecuted front gate (level 1).
-    queue: deque[int] = deque()
-    for index in sorted(state.front):
-        level[index] = 1
-        in_window.add(index)
-        queue.append(index)
-        if is_2q[index]:
-            collected_two_qubit += 1
+    level: dict[int, int] = dict.fromkeys(front, 1)
+    queue: deque[int] = deque(front)
+    collected_two_qubit = len(front_two_qubit)
 
-    # Expand in topological order while the two-qubit budget lasts.
-    executed = state.executed
+    # Expand in topological order while the two-qubit budget lasts.  A
+    # successor joins once its last unexecuted predecessor is popped; until
+    # then it carries how many of them are still unpopped, seeded from the
+    # engine's dependence counts.  The queue is FIFO and every gate joins one
+    # level deeper than the gate being popped, so levels never decrease along
+    # the queue: the predecessor popped last is the deepest one.
+    pending = state.pending_predecessors
     successors_of = state.dag.successors
-    predecessors_of = state.dag.predecessors
-    remaining_preds: dict[int, int] = {}
+    unpopped: dict[int, int] = {}
     while queue and collected_two_qubit < target:
         current = queue.popleft()
+        next_level = level[current] + 1
         for successor in successors_of(current):
-            if successor in in_window or successor in executed:
+            remaining = unpopped.get(successor, pending[successor]) - 1
+            if remaining:
+                unpopped[successor] = remaining
                 continue
-            if successor not in remaining_preds:
-                remaining_preds[successor] = sum(
-                    1
-                    for predecessor in predecessors_of(successor)
-                    if predecessor not in executed
-                )
-            remaining_preds[successor] -= 1
-            if remaining_preds[successor] > 0:
-                continue
-            predecessor_levels = [
-                level[p]
-                for p in predecessors_of(successor)
-                if p in level
-            ]
-            level[successor] = 1 + max(predecessor_levels, default=0)
-            in_window.add(successor)
+            level[successor] = next_level
             queue.append(successor)
             if is_2q[successor]:
                 collected_two_qubit += 1
                 if collected_two_qubit >= target:
                     break
 
-    max_level = max(
-        (lvl for index, lvl in level.items() if is_2q[index]),
-        default=0,
-    )
-    layers: list[list[int]] = [[] for _ in range(max_level)]
+    # Levels were assigned in non-decreasing order, so the layers come out
+    # front first.
+    layers: dict[int, list[int]] = {}
     for index, lvl in level.items():
         if is_2q[index]:
-            layers[lvl - 1].append(index)
-    layers = [sorted(layer) for layer in layers if layer]
-    return LookaheadWindow(layers)
+            layers.setdefault(lvl, []).append(index)
+    return LookaheadWindow([sorted(layer) for layer in layers.values()])

@@ -1,10 +1,11 @@
 """The Qlosure routing engine (Algorithm 1 of the paper).
 
 The router plugs the dependence-driven cost function into the shared
-execute-or-swap loop: at every stall it rebuilds the layered look-ahead
-window and prices every candidate SWAP with ``M(s)``; the engine commits the
-cheapest one (ties broken at random), and the router updates the SABRE-style
-decay values.
+execute-or-swap loop: whenever the front layer changes it builds the layered
+look-ahead window and its scorer, and at every stall it prices every
+candidate SWAP with ``M(s)``; the engine commits the cheapest one (ties
+broken at random), and the router folds the SWAP into the scorer and updates
+the SABRE-style decay values.
 """
 
 from __future__ import annotations
@@ -48,13 +49,14 @@ class QlosureRouter(RoutingEngine):
         )
         self._weights: dict[int, int] = {}
         self._decay = DecayTable(0, self.config.decay_increment)
-        # Look-ahead window memoised by front signature: the window is a
-        # function of the front layer and the executed set alone (its size
-        # counts distinct *logical* operands, and layering ignores
-        # connectivity), both frozen while a stall episode commits SWAPs, so
-        # consecutive stalls on the same front reuse it verbatim.
-        self._window_signature: tuple[int, ...] | None = None
-        self._window = None
+        # Window scorer memoised by front signature: the window is a function
+        # of the front layer and the executed set alone (its size counts
+        # distinct *logical* operands, and layering ignores connectivity),
+        # both frozen while a stall episode commits SWAPs, so consecutive
+        # stalls on the same front reuse the scorer, which follows the
+        # layout through on_swap_applied.
+        self._scorer_signature: tuple[int, ...] | None = None
+        self._scorer: WindowScorer | None = None
 
     # -- engine hooks -----------------------------------------------------------
 
@@ -63,20 +65,22 @@ class QlosureRouter(RoutingEngine):
         analysis = DependenceAnalysis(state.circuit)
         self._weights = analysis.weights()
         self._decay = DecayTable(state.circuit.num_qubits, self.config.decay_increment)
-        self._window_signature = None
-        self._window = None
+        self._scorer_signature = None
+        self._scorer = None
 
     def on_gate_executed(self, state: RoutingState, index: int) -> None:
         """Reset decay values after a successful two-qubit gate execution."""
         self._decay.reset_all()
 
     def on_swap_applied(self, state: RoutingState, swap: tuple[int, int]) -> None:
-        """Penalise the logical qubits that were just moved."""
+        """Penalise the logical qubits that were just moved and keep the scorer in step."""
         logical_at = state.layout.logical_at
         for physical in swap:
             logical = logical_at[physical]
             if logical is not None:
                 self._decay.bump(logical)
+        if self._scorer is not None:
+            self._scorer.apply_swap(*swap)
 
     # -- SWAP pricing --------------------------------------------------------------
 
@@ -85,15 +89,16 @@ class QlosureRouter(RoutingEngine):
     ) -> list[float]:
         """Score every candidate SWAP with ``M(s)``."""
         signature = state.front_signature()
-        if signature != self._window_signature:
-            self._window = build_lookahead(
+        if signature != self._scorer_signature:
+            window = build_lookahead(
                 state,
                 self._lookahead_constant,
                 cap=self.config.max_lookahead_gates,
                 front_only=self.config.lookahead_only_front,
             )
-            self._window_signature = signature
+            self._scorer = WindowScorer(state, window, self._weights, self._decay, self.config)
+            self._scorer_signature = signature
         else:
             state.heuristic_cache_hits += 1
-        score = WindowScorer(state, self._window, self._weights, self._decay, self.config).score
+        score = self._scorer.score
         return [score(candidate) for candidate in candidates]

@@ -32,7 +32,7 @@ Incremental-state contract
 :class:`RoutingState` is an *incremental* kernel: the unresolved front layer,
 its physical-qubit footprint and the candidate-SWAP set are cached and kept
 in sync with gate retirement and SWAP application instead of being recomputed
-on every query.  Heuristics plugged into the engine must respect three rules:
+on every query.  Heuristics plugged into the engine must respect these rules:
 
 * **Read-only views.**  :meth:`RoutingState.unresolved_front`,
   :meth:`RoutingState.front_physical_qubits` and
@@ -59,6 +59,12 @@ on every query.  Heuristics plugged into the engine must respect three rules:
   memoisation that must survive a committed SWAP (layouts change, the
   front layer does not) on the signature instead of recomputing
   per-layer tables from scratch.
+* **Layout-dependent router state.**  A router that keeps per-window state
+  derived from the layout (Qlosure's window scorer caches physical operand
+  positions and distances) keeps it in step through
+  :meth:`RoutingEngine.on_swap_applied`, which the engine calls after every
+  committed SWAP -- release-valve SWAPs included -- once the layout and the
+  cached front views have been updated.
 
 Replaying the same seed against the same circuit and device reproduces the
 emitted gate sequence bit for bit: caches only memoise what the non-cached
@@ -399,7 +405,7 @@ class RoutingEngine:
         """Hook called after a two-qubit gate has been executed."""
 
     def on_swap_applied(self, state: RoutingState, swap: tuple[int, int]) -> None:
-        """Hook called after a SWAP has been committed."""
+        """Hook called after a SWAP has been committed (layout already updated)."""
 
     # -- main loop ----------------------------------------------------------------
 

@@ -122,7 +122,29 @@ class TestWindowScorer:
         scorer = WindowScorer(state, window, weights, decay, config)
         for candidate in state.candidate_swaps():
             direct = WindowScorer(state, window, weights, decay, config).score(candidate)
-            assert scorer.score(candidate) == pytest.approx(direct)
+            assert scorer.score(candidate) == direct
+
+    def test_apply_swap_matches_fresh_build(self):
+        device = line_topology(7)
+        circuit = QuantumCircuit(7)
+        circuit.cx(0, 6)
+        circuit.cx(6, 3)
+        circuit.cx(3, 1)
+        circuit.cx(1, 5)
+        state = make_state(circuit, device)
+        window = build_lookahead(state, lookahead_constant=4)
+        weights = {0: 3, 1: 2, 2: 1, 3: 4}
+        decay = {q: 1.0 + 0.01 * q for q in range(7)}
+        config = QlosureConfig()
+        scorer = WindowScorer(state, window, weights, decay, config)
+        for swap in [(0, 1), (5, 6), (1, 2), (0, 1), (3, 4)]:
+            state.layout.swap_physical(*swap)
+            state.mark_front_dirty()
+            scorer.apply_swap(*swap)
+            fresh = WindowScorer(state, window, weights, decay, config)
+            assert scorer.base_score() == fresh.base_score()
+            for candidate in device.edges():
+                assert scorer.score(candidate) == fresh.score(candidate)
 
     def test_unrelated_swap_keeps_base_score(self):
         state = blocked_cnot_state(6)
