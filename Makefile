@@ -25,12 +25,16 @@ test-golden:
 		tests/core/test_cost.py tests/core/test_lookahead.py -q
 
 ## Compile-cache battery: serialization round-trip exactness (golden-hash
-## oracle), fingerprint sensitivity, warm-vs-cold bit-for-bit determinism and
-## bad-disk-entry robustness.  Fast (~5 s); runs in `make check` right after
-## the golden snapshots, before the slow suite.
+## oracle), fingerprint sensitivity, warm-vs-cold bit-for-bit determinism,
+## bad-disk-entry robustness, and the QASM reader's fast path for the
+## writer's own output against the full parser (hypothesis: random writer
+## output and mutated text must give the same program or the same error).
+## Fast (~20 s); runs in `make check` right after the golden snapshots,
+## before the slow suite.
 test-cache:
 	$(PYTHON) -m pytest tests/api/test_serialize.py tests/api/test_fingerprint.py \
-		tests/api/test_cache.py tests/analysis/test_perf_trajectory.py -q
+		tests/api/test_cache.py tests/analysis/test_perf_trajectory.py \
+		tests/qasm/test_canonical_fast_path.py -q
 
 ## Bounded piece-store battery: shard layout + per-shard indexes, max_bytes/
 ## max_entries LRU eviction invariants (including seeded random

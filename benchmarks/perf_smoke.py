@@ -2,8 +2,9 @@
 """Routing perf smoke: route a fixed QUEKO workload with every router.
 
 Writes ``BENCH_routing.json`` (mean swaps / depth / seconds / cost
-evaluations per router) so every commit leaves a machine-readable perf
-trajectory behind.  Quality metrics must stay constant across perf-only
+evaluations per router, plus a ``host`` record: CPU model, ``nproc`` and
+Python version) so every commit leaves a machine-readable perf trajectory
+behind.  Quality metrics must stay constant across perf-only
 changes; ``mean_seconds`` is the number that should go down.
 
 Usage::

@@ -3,8 +3,9 @@
 Routes a fixed QUEKO workload with every evaluation router through the
 :mod:`repro.api` batch driver and writes the per-router mean SWAP count,
 routed depth, mapping time and cost-evaluation count to
-``BENCH_routing.json``.  The fixture (generation device, depth ladder, seeds)
-is pinned, so successive commits produce directly comparable numbers:
+``BENCH_routing.json``, together with the host they were measured on.  The
+fixture (generation device, depth ladder, seeds) is pinned, so successive
+commits produce directly comparable numbers:
 quality metrics (swaps/depth) must stay constant for a performance-only
 change -- routing is bit-for-bit deterministic per request, independent of
 ``workers`` -- and ``mean_seconds`` is the mapping-time trajectory the
@@ -16,6 +17,7 @@ throughput (this is where ``workers > 1`` pays off).  Run it via
 from __future__ import annotations
 
 import json
+import os
 import platform
 from pathlib import Path
 
@@ -52,6 +54,25 @@ def smoke_fixture(quick: bool = False):
                 )
             )
     return instances
+
+
+def host_record() -> dict:
+    """The host a trajectory was measured on: CPU model, ``nproc``, Python.
+
+    ``mean_seconds`` is un-normalised wall time, so it only compares against
+    records that name the same host.
+    """
+    cpu = platform.processor() or platform.machine() or "unknown"
+    try:
+        with open("/proc/cpuinfo") as handle:
+            cpu = next(
+                (line.split(":", 1)[1].strip() for line in handle
+                 if line.startswith("model name")),
+                cpu,
+            )
+    except OSError:
+        pass  # not Linux: keep the platform module's answer
+    return {"cpu_model": cpu, "nproc": os.cpu_count(), "python": platform.python_version()}
 
 
 def smoke_requests(
@@ -159,6 +180,7 @@ def run_perf_smoke(
             "quick": quick,
         },
         "python": platform.python_version(),
+        "host": host_record(),
         "workers": batch.workers,
         "wall_seconds": round(batch.wall_seconds, 4),
         # Informational only -- quality_regressions must never gate on cache

@@ -11,10 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.api import CompileRequest, compile_many
+from repro.analysis.experiments import timed_batch
+from repro.api import CompileRequest
 from repro.api.registry import resolve_router
 from repro.benchgen.queko import generate_queko_circuit
 from repro.hardware.coupling import CouplingGraph
+
+#: Timed rounds per ladder.  Each point is a single route of a fraction of a
+#: second, which one pause of a shared host moves off the line; the fastest
+#: of five interleaved rounds keeps the fit to the router's own growth.
+ROUNDS = 5
 
 
 @dataclass
@@ -72,8 +78,10 @@ def mapping_time_scaling(
 ) -> ScalingResult:
     """Measure ``router``'s mapping time versus QOPs on QUEKO circuits of increasing depth.
 
-    The ladder runs as one :func:`repro.api.compile_many` batch; ``seed``
-    selects the QUEKO instances, the router itself runs at its default seed.
+    The ladder runs as one timed batch
+    (:func:`repro.analysis.experiments.timed_batch`) of :data:`ROUNDS`
+    rounds, and each point reports its fastest route.  ``seed`` selects the
+    QUEKO instances, the router itself runs at its default seed.
     """
     requests = [
         CompileRequest(
@@ -92,7 +100,7 @@ def mapping_time_scaling(
             depth=result.routed_depth,
             swaps=result.swaps_added,
         )
-        for result in compile_many(requests)
+        for result in timed_batch(requests, rounds=ROUNDS)
     ]
     slope, intercept, r_squared = _linear_fit(
         [float(p.qops) for p in points], [p.seconds for p in points]

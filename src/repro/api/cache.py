@@ -39,12 +39,19 @@ The disk tier is a bounded, shareable piece store:
   contention.  The single-writer/many-reader split is the supported sharing
   model.
 
-Both tiers store the *serialized* payload (:mod:`repro.api.serialize`) and
-rehydrate on every hit, so a cached result is always a fresh object built
-through the same round-trip the test battery pins as exact.  Corrupted,
-truncated or version-mismatched disk entries are logged and treated as
+Both tiers store the *serialized* payload (:mod:`repro.api.serialize`).
+:meth:`CompileCache.lookup_payload` serves a hit as that payload, which is
+all the compile service replies with: a memory hit is a dict lookup, and a
+disk hit is decoded once, when it is promoted into the memory tier, so a
+disk entry that does not decode never gets there.
+:meth:`CompileCache.lookup` rebuilds a fresh
+:class:`~repro.api.result.CompileResult` from the payload through the same
+round-trip the test battery pins as exact.  Corrupted, truncated,
+undecodable or version-mismatched disk entries are logged and treated as
 misses -- the cache never raises on bad persisted state, and caching only
-ever changes hit rates, never a single routed bit.
+ever changes hit rates, never a single routed bit.  Memory hits also refresh
+the disk tier's LRU order (in memory; persisted at the next index rewrite),
+so warm entries are not the first evicted.
 
 That degrade-to-miss contract is testable: a cache constructed with a
 ``fault_plan`` (:class:`~repro.api.faults.FaultPlan`) simulates disk-tier
@@ -386,37 +393,67 @@ class CompileCache:
 
     # -- lookups -------------------------------------------------------------
 
+    def lookup_payload(self, fingerprint: str) -> dict | None:
+        """The stored result payload for ``fingerprint``, or ``None`` on a miss.
+
+        This is the hit path of ``repro-map serve``: the payload is the one
+        :func:`~repro.api.serialize.result_to_payload` wrote, so a reply can
+        carry it as is, without rebuilding a :class:`CompileResult`.  Callers
+        must not mutate it: a memory hit hands back the tier's own dict.
+
+        A memory hit costs a dict lookup.  A disk hit is decoded once, when it
+        is promoted into the memory tier, so an undecodable entry (corrupt
+        JSON, truncated file, schema or payload version mismatch, integrity
+        digest or index size mismatch, a payload that does not rebuild) is
+        logged and counted as a miss and never reaches the memory tier.  This
+        method never raises on bad cache state.
+        """
+        return self._hit(fingerprint, None, decode=False)[0]
+
     def lookup(self, fingerprint: str, request: CompileRequest) -> CompileResult | None:
         """The cached result for ``fingerprint``, or ``None`` on a miss.
 
-        Hits rehydrate the stored payload into a fresh :class:`CompileResult`
-        carrying the caller's ``request``.  Any undecodable entry (corrupt
-        JSON, truncated file, schema or payload version mismatch, integrity
-        digest or index size mismatch) is logged and counted as a miss; this
-        method never raises on bad cache state.
+        :meth:`lookup_payload` followed by
+        :func:`~repro.api.serialize.result_from_payload`: a hit is a fresh
+        :class:`CompileResult` carrying the caller's ``request``, rebuilt
+        through the round-trip the test battery pins as exact.  A payload
+        that does not rebuild is a logged miss; this method never raises on
+        bad cache state.
+        """
+        return self._hit(fingerprint, request, decode=True)[1]
+
+    def _hit(self, fingerprint: str, request, decode: bool) -> tuple:
+        """``(payload, result)`` of a hit, ``(None, None)`` on a miss.
+
+        A disk payload is always decoded (with ``request``) before it is
+        promoted; a memory payload only when ``decode`` asks for the result.
         """
         payload = self._memory_get(fingerprint)
         tier = "memory"
         if payload is None and self.directory is not None:
             payload = self._disk_get(fingerprint)
             tier = "disk"
-        if payload is not None:
+        result = None
+        if payload is not None and (decode or tier == "disk"):
             try:
                 result = result_from_payload(payload, request)
             except SerializationError as exc:
                 logger.warning("cache entry %s undecodable (%s); treating as miss",
                                fingerprint[:12], exc)
                 self._memory.pop(fingerprint, None)
-            else:
-                self.stats[f"{tier}_hits"] += 1
-                current_tracer().count(f"cache.{tier}_hits")
-                if tier == "disk":
-                    self._memory_put(fingerprint, payload)
-                    self._touch(fingerprint)
-                return result
-        self.stats["misses"] += 1
-        current_tracer().count("cache.misses")
-        return None
+                payload = None
+        if payload is None:
+            self.stats["misses"] += 1
+            current_tracer().count("cache.misses")
+            return None, None
+        self.stats[f"{tier}_hits"] += 1
+        current_tracer().count(f"cache.{tier}_hits")
+        if tier == "disk":
+            self._memory_put(fingerprint, payload)
+            self._touch(fingerprint)
+        else:
+            self._bump(fingerprint)
+        return payload, result
 
     def get(self, request: CompileRequest) -> CompileResult | None:
         """Fingerprint ``request`` and look it up."""
@@ -635,6 +672,21 @@ class CompileCache:
         except OSError as exc:
             logger.warning("cannot record cache access for %s (%s)",
                            fingerprint[:12], exc)
+
+    def _bump(self, fingerprint: str) -> None:
+        """Record a memory hit in the LRU order, without touching the disk.
+
+        A warm entry served from memory must not look cold to eviction.  Its
+        catalog sequence moves now; the shard is marked dirty, so the next
+        store's index rewrite persists the order.  A handle that has not
+        loaded its catalog has no disk order to refresh.
+        """
+        if self._catalog is None:
+            return
+        entry = self._catalog.get(fingerprint)
+        if entry is not None:
+            entry.seq = self._next_seq()
+            self._dirty_shards.add(entry.shard)
 
     def _rewrite_shard_index(self, shard: str) -> None:
         """Atomically rewrite one shard's index from the catalog (compaction)."""

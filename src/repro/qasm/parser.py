@@ -1,8 +1,16 @@
-"""Recursive-descent parser for the supported OpenQASM 2.0 subset."""
+"""Parser for the supported OpenQASM 2.0 subset.
+
+A recursive-descent parser reads the whole language subset.  Text in the
+exact line forms of :func:`repro.qasm.writer.circuit_to_qasm` -- what the
+compile cache, the wire codecs and routed-circuit files carry -- is read by
+a line-level fast path first; any line outside those forms sends the whole
+source to the recursive-descent parser, and both build the same program.
+"""
 
 from __future__ import annotations
 
 import math
+import re
 from typing import Mapping
 
 from repro.qasm.ast import (
@@ -15,7 +23,7 @@ from repro.qasm.ast import (
     RegisterDecl,
     SymbolicGateCall,
 )
-from repro.qasm.lexer import QasmSyntaxError, Token, TokenType, tokenize
+from repro.qasm.lexer import KEYWORDS, QasmSyntaxError, Token, TokenType, tokenize
 
 
 class QasmParseError(QasmSyntaxError):
@@ -165,8 +173,86 @@ def _collect_expression_text(stream: _TokenStream, terminators: tuple[str, ...])
 # ---------------------------------------------------------------------------
 
 
+#: The header :func:`repro.qasm.writer.circuit_to_qasm` emits, then its
+#: register declarations (one ``qreg``, one ``creg``).
+_CANONICAL_HEADER = ("OPENQASM 2.0;", 'include "qelib1.inc";')
+_CANONICAL_QREG_RE = re.compile(r"qreg ([A-Za-z_][A-Za-z0-9_]*)\[([0-9]+)\];")
+_CANONICAL_CREG_RE = re.compile(r"creg ([A-Za-z_][A-Za-z0-9_]*)\[([0-9]+)\];")
+#: A parameter the writer emits: an optionally negated float literal in the
+#: lexer's own number grammar (``repr`` of a finite float).
+_CANONICAL_PARAM_RE = re.compile(
+    r"-?(?:[0-9]+\.[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+    r"|[0-9]+[eE][+-]?[0-9]+|[0-9]+)"
+)
+_CANONICAL_GATE_TEMPLATE = (
+    r"([A-Za-z_][A-Za-z0-9_]*)(?:\(([^()]+)\))? ((?:{reg}\[[0-9]+\],)*{reg}\[[0-9]+\]);"
+)
+
+
+def _parse_canonical(source: str) -> Program | None:
+    """Parse the writer's own line forms, or ``None`` if any line strays.
+
+    Accepts exactly what :func:`repro.qasm.writer.circuit_to_qasm` emits for
+    a circuit without barriers or measurements: the four-line header, then
+    one ``name q[i],q[j];`` or ``name(f,...) q[i];`` statement per line, where
+    every ``f`` is a plain float literal.  The result equals what the full
+    parser builds, line numbers included.  Anything else -- comments, extra
+    whitespace, keywords, expressions, a second register, ``\\r`` -- returns
+    ``None`` so the caller parses the whole source the slow way.
+    """
+    lines = source.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 4 or tuple(lines[:2]) != _CANONICAL_HEADER:
+        return None
+    qreg = _CANONICAL_QREG_RE.fullmatch(lines[2])
+    creg = _CANONICAL_CREG_RE.fullmatch(lines[3])
+    if qreg is None or creg is None or {qreg[1], creg[1]} & KEYWORDS:
+        return None
+    register = qreg[1]
+    program = Program(version="2.0")
+    program.registers = [
+        RegisterDecl(register, int(qreg[2]), True, 3),
+        RegisterDecl(creg[1], int(creg[2]), False, 4),
+    ]
+    gate_re = re.compile(_CANONICAL_GATE_TEMPLATE.format(reg=re.escape(register)))
+    param_match = _CANONICAL_PARAM_RE.fullmatch
+    prefix = len(register) + 1
+    refs: dict[str, QubitRef] = {}
+    statements = program.statements
+    for number, line in enumerate(lines[4:], start=5):
+        match = gate_re.fullmatch(line)
+        if match is None or match[1] in KEYWORDS:
+            return None
+        params: tuple[float, ...] = ()
+        if match[2] is not None:
+            texts = match[2].split(",")
+            if not all(map(param_match, texts)):
+                return None
+            params = tuple(map(float, texts))
+        qubits = []
+        for operand in match[3].split(","):
+            ref = refs.get(operand)
+            if ref is None:
+                ref = refs[operand] = QubitRef(register, int(operand[prefix:-1]))
+            qubits.append(ref)
+        statements.append(GateCall(match[1].lower(), params, tuple(qubits), number))
+    return program
+
+
 def parse_qasm(source: str) -> Program:
-    """Parse OpenQASM 2.0 source text into a :class:`Program`."""
+    """Parse OpenQASM 2.0 source text into a :class:`Program`.
+
+    Text in the writer's own canonical form takes a line-level fast path
+    (:func:`_parse_canonical`); any other source, from its first line on, goes
+    through the recursive-descent parser.  Both build the same program.
+    """
+    program = _parse_canonical(source)
+    return program if program is not None else _parse_program(source)
+
+
+def _parse_program(source: str) -> Program:
+    """The recursive-descent parser over the whole token stream."""
     stream = _TokenStream(tokenize(source))
     program = Program()
 

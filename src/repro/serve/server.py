@@ -260,7 +260,8 @@ class CompileService:
             return Response(503, error_body("server is draining; not accepting new work"))
         fingerprint = request_fingerprint(request)
 
-        hit = self.cache.lookup(fingerprint, request)
+        # A hit replies with the stored payload as is: nothing is rebuilt.
+        hit = self.cache.lookup_payload(fingerprint)
         if hit is not None:
             self.metrics.increment("cache_hits")
             return Response(
@@ -269,7 +270,7 @@ class CompileService:
                     "ok": True,
                     "fingerprint": fingerprint,
                     "cached": True,
-                    "result": result_to_payload(hit),
+                    "result": hit,
                 },
             )
         self.metrics.increment("cache_misses")

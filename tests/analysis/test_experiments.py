@@ -1,6 +1,10 @@
 """Tests for the comparison experiment drivers."""
 
+import gc
+
 import pytest
+
+import repro.analysis.experiments as experiments
 
 from repro.analysis.experiments import (
     ComparisonRecord,
@@ -80,6 +84,54 @@ class TestRunners:
     def test_aliases_record_the_canonical_name(self):
         records = compare_mappers([ghz_circuit(5)], GRID, mapper_names=["pytket"])
         assert [r.mapper_name for r in records] == ["tket"]
+
+
+class TestTimedBatch:
+    def test_heap_is_frozen_for_the_batch_and_thawed_after(self, monkeypatch):
+        frozen_during = []
+
+        def batch(requests, workers):
+            frozen_during.append(gc.get_freeze_count())
+            raise KeyError("unknown router")
+
+        before = gc.get_freeze_count()
+        monkeypatch.setattr(experiments, "compile_many", batch)
+        with pytest.raises(KeyError):
+            experiments.timed_batch([])
+        assert frozen_during and frozen_during[0] > before
+        assert gc.get_freeze_count() == before
+
+    def test_rounds_keep_the_fastest_route_of_each_request(self, monkeypatch):
+        timings = []
+        real = experiments.compile_many
+
+        def spy(requests, workers=1, cache=True):
+            batch = real(requests, workers=workers, cache=cache)
+            timings.append([result.route_seconds for result in batch])
+            return batch
+
+        monkeypatch.setattr(experiments, "compile_many", spy)
+        requests = [
+            CompileRequest(circuit=ghz_circuit(5), backend=GRID, router=router)
+            for router in ("greedy", "sabre")
+        ]
+        results = experiments.timed_batch(requests, rounds=3)
+        assert len(timings) == 3
+        assert [r.route_seconds for r in results] == [min(t) for t in zip(*timings)]
+        fresh = real(requests, cache=False)
+        assert [r.swaps_added for r in results] == [r.swaps_added for r in fresh]
+
+    def test_compare_mappers_times_through_it(self, monkeypatch):
+        calls = []
+        real = experiments.timed_batch
+
+        def spy(requests, workers=1):
+            calls.append(len(requests))
+            return real(requests, workers=workers)
+
+        monkeypatch.setattr(experiments, "timed_batch", spy)
+        compare_mappers([ghz_circuit(4)], GRID, mapper_names=("greedy", "sabre"))
+        assert calls == [2]
 
 
 class TestRecord:

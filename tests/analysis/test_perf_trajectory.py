@@ -90,3 +90,17 @@ class TestRendering:
     def test_render_handles_records_without_cache_section(self, quick_record):
         legacy = {k: v for k, v in quick_record.items() if k != "cache"}
         assert "cache off" in render_trajectory(legacy)
+
+
+class TestHostRecord:
+    def test_record_names_the_host_it_was_measured_on(self, quick_record):
+        host = quick_record["host"]
+        assert set(host) == {"cpu_model", "nproc", "python"}
+        assert host["cpu_model"]
+        assert host["nproc"] >= 1
+        assert host["python"] == quick_record["python"]
+
+    def test_host_fields_do_not_trip_the_gate(self, quick_record):
+        moved = copy.deepcopy(quick_record)
+        moved["host"] = {"cpu_model": "elsewhere", "nproc": 64, "python": "3.99"}
+        assert quality_regressions(moved, quick_record) == []

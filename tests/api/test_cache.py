@@ -22,6 +22,8 @@ from repro.api import (
     set_default_cache,
 )
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
+from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.gate import Gate
 from repro.hardware.topologies import grid_topology
 
 GRID = grid_topology(4, 4)
@@ -216,6 +218,20 @@ class TestTiers:
         api_compile(request, cache=cache)
         assert cache.stats["disk_hits"] == 1
         assert cache.stats["memory_hits"] == 1
+
+    def test_memory_payload_that_does_not_rebuild_is_a_miss_for_lookup(self):
+        # The writer emits a NaN angle as ``rz(nan)``, which the loader
+        # rejects: the stored payload serves as is but never rebuilds.
+        circuit = QuantumCircuit(2, [Gate("rz", (0,), (float("nan"),)), Gate("cx", (0, 1))])
+        request = CompileRequest(circuit=circuit, backend=GRID, router="greedy")
+        cache = CompileCache()
+        api_compile(request, cache=cache)
+        fingerprint = request_fingerprint(request)
+        assert "rz(nan)" in cache.lookup_payload(fingerprint)["routing"]["routed_circuit"]["qasm"]
+        assert cache.lookup(fingerprint, request) is None
+        assert cache.stats["memory_hits"] == 1
+        assert cache.stats["misses"] == 2  # the first compile and the rebuild
+        assert len(cache) == 0  # the entry that cannot rebuild is dropped
 
     def test_info_and_clear(self, tmp_path):
         cache = CompileCache(directory=tmp_path)

@@ -291,6 +291,36 @@ class TestBoundsAndEviction:
         assert cache.lookup(fp(0), request_for()) is None
         assert cache.stats["memory_hits"] == 0
 
+    def test_memory_hit_refreshes_the_disk_lru_order(self, tmp_path, result):
+        cache = CompileCache(directory=tmp_path, max_entries=2)
+        cache.store(fp(0), result)  # A
+        cache.store(fp(1), result)  # B
+        assert cache.lookup(fp(0), request_for()) is not None
+        assert cache.stats["memory_hits"] == 1
+        cache.store(fp(2), result)  # C
+        # A was read after B was stored, so B is the coldest and dies
+        assert payload_files(tmp_path) == {fp(0), fp(2)}
+        assert cache.lookup(fp(0), request_for()) is not None
+
+    def test_memory_hit_writes_nothing_and_the_order_persists(self, tmp_path, result):
+        cache = CompileCache(directory=tmp_path, max_entries=3)
+        for index in range(3):
+            cache.store(fp(index), result)
+        before = {
+            path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()
+        }
+        assert cache.lookup_payload(fp(0)) is not None
+        after = {
+            path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()
+        }
+        assert after == before  # the hit path leaves the directory alone
+        cache.store(fp(3), result)  # evicts fp(1) and rewrites fp(0)'s index
+        fresh = CompileCache(max_memory_entries=0, directory=tmp_path, max_entries=3)
+        fresh.store(fp(4), result)
+        # the bump reached disk with the next index rewrite: fp(2) is now the
+        # coldest entry for a handle that never saw the memory hit
+        assert payload_files(tmp_path) == {fp(0), fp(3), fp(4)}
+
     @pytest.mark.parametrize("bound", ["max_bytes", "max_entries"])
     @pytest.mark.parametrize("value", [0, -1, "three"])
     def test_invalid_bounds_rejected(self, tmp_path, bound, value):
